@@ -2,10 +2,11 @@
 //!
 //! The build environment has no crates.io access, so this crate provides the
 //! slice of serde this workspace uses: the `Serialize` / `Deserialize`
-//! traits (and their derive macros, re-exported from the local
-//! `serde_derive`), implemented over an owned JSON-like [`Value`] tree
-//! rather than upstream's streaming serializer/deserializer pair. The local
-//! `serde_json` renders and parses that tree.
+//! traits and their derive macros, re-exported from the local
+//! `serde_derive`. The format is fixed to JSON. [`Serialize`] streams JSON
+//! text through a [`Writer`] into any `fmt::Write` sink, so serializing a
+//! typed value builds no intermediate tree. [`Deserialize`] rebuilds values
+//! from the owned [`Value`] tree that the local `serde_json` parses.
 //!
 //! The derive macros emit the same externally-tagged enum representation as
 //! upstream serde's default, so JSON produced by this stack is shaped like
@@ -14,11 +15,16 @@
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
+
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
 
-/// An owned JSON-like data tree: the interchange format between
-/// [`Serialize`]/[`Deserialize`] impls and the `serde_json` facade.
+mod writer;
+pub use writer::Writer;
+
+/// An owned JSON-like data tree: what `serde_json` parses and
+/// [`Deserialize`] impls read, and the form of hand-built documents.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -58,10 +64,10 @@ impl Error {
     }
 }
 
-/// Types that can be rendered into a [`Value`] tree.
+/// Types that can be written as JSON.
 pub trait Serialize {
-    /// Convert `self` into a value tree.
-    fn to_value(&self) -> Value;
+    /// Write `self` into `w`.
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result;
 }
 
 /// Types that can be rebuilt from a [`Value`] tree.
@@ -79,8 +85,17 @@ pub fn get_field<'a>(map: &'a [(String, Value)], key: &str) -> Result<&'a Value,
 }
 
 impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.bool(*b),
+            Value::U64(n) => w.u64(*n),
+            Value::I64(n) => w.i64(*n),
+            Value::F64(f) => w.f64(*f),
+            Value::Str(s) => w.str(s),
+            Value::Seq(xs) => w.seq(xs),
+            Value::Map(entries) => w.map(entries.iter().map(|(k, v)| (k.as_str(), v))),
+        }
     }
 }
 
@@ -97,7 +112,7 @@ impl Deserialize for Value {
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::U64(*self as u64) }
+            fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result { w.u64(*self as u64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -117,10 +132,7 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
-            }
+            fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result { w.i64(*self as i64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -141,7 +153,7 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::F64(*self as f64) }
+            fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result { w.f64(*self as f64) }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, Error> {
@@ -158,8 +170,8 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.bool(*self)
     }
 }
 impl Deserialize for bool {
@@ -172,8 +184,8 @@ impl Deserialize for bool {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 impl Deserialize for char {
@@ -186,8 +198,8 @@ impl Deserialize for char {
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.str(self)
     }
 }
 impl Deserialize for String {
@@ -200,8 +212,8 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.str(self)
     }
 }
 
@@ -218,11 +230,13 @@ impl Deserialize for &'static str {
 }
 
 impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("secs".to_string(), Value::U64(self.as_secs())),
-            ("nanos".to_string(), Value::U64(self.subsec_nanos() as u64)),
-        ])
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.begin_map()?;
+        w.raw_key("\"secs\"")?;
+        w.u64(self.as_secs())?;
+        w.raw_key("\"nanos\"")?;
+        w.u64(u64::from(self.subsec_nanos()))?;
+        w.end_map()
     }
 }
 impl Deserialize for std::time::Duration {
@@ -239,16 +253,16 @@ impl Deserialize for std::time::Duration {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        (**self).serialize(w)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
         match self {
-            Some(x) => x.to_value(),
-            None => Value::Null,
+            Some(x) => x.serialize(w),
+            None => w.null(),
         }
     }
 }
@@ -262,8 +276,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.seq(self)
     }
 }
 impl<T: Deserialize> Deserialize for Vec<T> {
@@ -276,20 +290,20 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.seq(self)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.seq(self)
     }
 }
 
 impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.seq(self)
     }
 }
 impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
@@ -298,14 +312,13 @@ impl<T: Deserialize> Deserialize for std::collections::VecDeque<T> {
     }
 }
 
+/// Keys are written in sorted order, so the output does not depend on the
+/// hasher's iteration order.
 impl<V: Serialize, S> Serialize for std::collections::HashMap<String, V, S> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_value()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        let mut entries: Vec<(&str, &V)> = self.iter().map(|(k, v)| (k.as_str(), v)).collect();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        w.map(entries)
     }
 }
 impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
@@ -321,12 +334,8 @@ impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
 }
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
-    fn to_value(&self) -> Value {
-        Value::Map(
-            self.iter()
-                .map(|(k, v)| (k.clone(), v.to_value()))
-                .collect(),
-        )
+    fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.map(self.iter().map(|(k, v)| (k.as_str(), v)))
     }
 }
 impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
@@ -344,8 +353,10 @@ impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+),)*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Seq(vec![$(self.$n.to_value()),+])
+            fn serialize<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+                w.begin_seq()?;
+                $(w.elem()?; self.$n.serialize(w)?;)+
+                w.end_seq()
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -371,22 +382,32 @@ impl_tuple! {
 mod tests {
     use super::*;
 
+    fn compact<T: Serialize + ?Sized>(x: &T) -> String {
+        let mut out = String::new();
+        x.serialize(&mut Writer::compact(&mut out)).unwrap();
+        out
+    }
+
     #[test]
-    fn roundtrip_primitives() {
-        assert_eq!(u32::from_value(&7u32.to_value()).unwrap(), 7);
-        assert_eq!(i64::from_value(&(-3i64).to_value()).unwrap(), -3);
-        assert!(bool::from_value(&true.to_value()).unwrap());
+    fn writes_primitives() {
+        assert_eq!(compact(&7u32), "7");
+        assert_eq!(compact(&-3i64), "-3");
+        assert_eq!(compact(&true), "true");
+        assert_eq!(compact("hi"), "\"hi\"");
+        assert_eq!(compact(&Option::<u8>::None), "null");
+        assert_eq!(compact(&vec![1u8, 2, 3]), "[1,2,3]");
+    }
+
+    #[test]
+    fn rebuilds_primitives_from_values() {
+        assert_eq!(u32::from_value(&Value::U64(7)).unwrap(), 7);
+        assert_eq!(i64::from_value(&Value::I64(-3)).unwrap(), -3);
+        assert!(bool::from_value(&Value::Bool(true)).unwrap());
+        assert_eq!(String::from_value(&Value::Str("hi".into())).unwrap(), "hi");
+        assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-        assert_eq!(
-            Option::<u8>::from_value(&Option::<u8>::None.to_value()).unwrap(),
-            None
-        );
-        assert_eq!(
-            Vec::<u8>::from_value(&vec![1u8, 2, 3].to_value()).unwrap(),
-            vec![1, 2, 3]
+            Vec::<u8>::from_value(&Value::Seq(vec![Value::U64(1), Value::U64(2)])).unwrap(),
+            vec![1, 2]
         );
     }
 

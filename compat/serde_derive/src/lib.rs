@@ -21,7 +21,7 @@ enum Item {
     Enum { name: String, variants: Vec<(String, Fields)> },
 }
 
-/// Derive `serde::Serialize` (value-tree flavour).
+/// Derive `serde::Serialize` (streaming JSON writer).
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
@@ -229,93 +229,78 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
 // ----------------------------------------------------------------------
 
 fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Tuple(1) => {
-                    "::serde::Serialize::to_value(&self.0)".to_string()
-                }
-                Fields::Tuple(n) => {
-                    let elems: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
-                }
-                Fields::Named(fs) => {
-                    let entries: Vec<String> = fs
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "(::std::string::String::from({f:?}), \
-                                 ::serde::Serialize::to_value(&self.{f}))"
-                            )
-                        })
-                        .collect();
-                    format!("::serde::Value::Map(::std::vec![{}])", entries.join(", "))
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-                 }}"
-            )
-        }
+    let (name, body) = match item {
+        Item::Struct { name, fields } => (name, write_fields(fields, |f| format!("&self.{f}"))),
         Item::Enum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|(v, fields)| match fields {
-                    Fields::Unit => format!(
-                        "{name}::{v} => \
-                         ::serde::Value::Str(::std::string::String::from({v:?})),"
-                    ),
-                    Fields::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-                        let payload = if *n == 1 {
-                            "::serde::Serialize::to_value(__f0)".to_string()
-                        } else {
-                            let elems: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Seq(::std::vec![{}])", elems.join(", "))
-                        };
-                        format!(
-                            "{name}::{v}({}) => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), {payload})]),",
-                            binds.join(", ")
-                        )
-                    }
-                    Fields::Named(fs) => {
-                        let entries: Vec<String> = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(::std::string::String::from({f:?}), \
-                                     ::serde::Serialize::to_value({f}))"
-                                )
-                            })
-                            .collect();
-                        format!(
-                            "{name}::{v} {{ {} }} => ::serde::Value::Map(::std::vec![\
-                             (::std::string::String::from({v:?}), \
-                             ::serde::Value::Map(::std::vec![{}]))]),",
-                            fs.join(", "),
-                            entries.join(", ")
-                        )
-                    }
+                .map(|(v, fields)| {
+                    let tag = quoted(v);
+                    let (pattern, payload) = match fields {
+                        Fields::Unit => {
+                            return format!("{name}::{v} => __w.raw({tag})?,");
+                        }
+                        Fields::Tuple(n) => {
+                            let binds: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
+                            (
+                                format!("{name}::{v}({})", binds.join(", ")),
+                                write_fields(fields, |i| format!("__f{i}")),
+                            )
+                        }
+                        Fields::Named(fs) => (
+                            format!("{name}::{v} {{ {} }}", fs.join(", ")),
+                            write_fields(fields, str::to_string),
+                        ),
+                    };
+                    format!(
+                        "{pattern} => {{ __w.begin_map()?; __w.raw_key({tag})?; \
+                         {payload} __w.end_map()?; }}"
+                    )
                 })
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{\n{}\n}}\n\
-                     }}\n\
-                 }}",
-                arms.join("\n")
-            )
+            (name, format!("match self {{\n{}\n}}", arms.join("\n")))
+        }
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn serialize<__W: ::std::fmt::Write>(&self, __w: &mut ::serde::Writer<__W>) \
+             -> ::std::fmt::Result {{\n\
+                 {body}\n\
+                 ::std::result::Result::Ok(())\n\
+             }}\n\
+         }}"
+    )
+}
+
+/// Statements writing `fields` the way serde's default representation
+/// does: unit as `null`, a single tuple field as its value, other tuples
+/// as arrays and named fields as objects. `access` turns a field name or
+/// tuple index into an expression borrowing that field.
+fn write_fields(fields: &Fields, access: impl Fn(&str) -> String) -> String {
+    let value = |f: &str| format!("::serde::Serialize::serialize({}, __w)?;", access(f));
+    match fields {
+        Fields::Unit => "__w.null()?;".to_string(),
+        Fields::Tuple(1) => value("0"),
+        Fields::Tuple(n) => {
+            let elems: String = (0..*n)
+                .map(|i| format!("__w.elem()?; {}", value(&i.to_string())))
+                .collect();
+            format!("__w.begin_seq()?; {elems} __w.end_seq()?;")
+        }
+        Fields::Named(fs) => {
+            let entries: String = fs
+                .iter()
+                .map(|f| format!("__w.raw_key({})?; {}", quoted(f), value(f)))
+                .collect();
+            format!("__w.begin_map()?; {entries} __w.end_map()?;")
         }
     }
+}
+
+/// A Rust literal of `name` as a quoted JSON string. Identifiers need no
+/// JSON escaping, so derived keys and tags are written verbatim.
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
 }
 
 fn gen_deserialize(item: &Item) -> String {

@@ -1,26 +1,31 @@
 //! Offline JSON rendering/parsing over the workspace `serde` subset.
 //!
 //! Provides the three entry points this repository uses — [`to_string`],
-//! [`to_string_pretty`], [`from_str`] — implemented over the owned
-//! [`serde::Value`] tree.
+//! [`to_string_pretty`], [`from_str`]. Rendering streams through
+//! [`serde::Writer`] into a `String`; parsing builds the owned
+//! [`serde::Value`] tree that [`Deserialize`] impls read.
 
 #![forbid(unsafe_code)]
 
 pub use serde::Error;
 pub use serde::Value;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 /// Render a serializable value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    value
+        .serialize(&mut Writer::compact(&mut out))
+        .map_err(Error::msg)?;
     Ok(out)
 }
 
 /// Render a serializable value as indented JSON (2 spaces, like upstream).
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    value
+        .serialize(&mut Writer::pretty(&mut out))
+        .map_err(Error::msg)?;
     Ok(out)
 }
 
@@ -34,95 +39,6 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
     T::from_value(&v)
-}
-
-// ----------------------------------------------------------------------
-// Rendering
-// ----------------------------------------------------------------------
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::U64(n) => out.push_str(&n.to_string()),
-        Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(f) => {
-            if f.is_finite() {
-                let s = format!("{f}");
-                out.push_str(&s);
-                // `{}` renders 1.0 as "1"; keep it a float so round-trips
-                // preserve the numeric class where it matters.
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_json_string(s, out),
-        Value::Seq(xs) => {
-            if xs.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_value(x, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push(']');
-        }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, x)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, level + 1);
-                write_json_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(x, out, indent, level + 1);
-            }
-            newline_indent(out, indent, level);
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ----------------------------------------------------------------------
@@ -334,6 +250,22 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn roundtrip_primitives() {
+        assert_eq!(from_str::<u32>(&to_string(&7u32).unwrap()).unwrap(), 7);
+        assert_eq!(from_str::<i64>(&to_string(&-3i64).unwrap()).unwrap(), -3);
+        assert!(from_str::<bool>(&to_string(&true).unwrap()).unwrap());
+        assert_eq!(from_str::<String>(&to_string("hi").unwrap()).unwrap(), "hi");
+        assert_eq!(
+            from_str::<Option<u8>>(&to_string(&Option::<u8>::None).unwrap()).unwrap(),
+            None
+        );
+        assert_eq!(
+            from_str::<Vec<u8>>(&to_string(&vec![1u8, 2, 3]).unwrap()).unwrap(),
+            vec![1, 2, 3]
+        );
+    }
 
     #[test]
     fn roundtrip_vec_of_tuples() {

@@ -42,6 +42,8 @@
 //! composition (wheel peaks, cascade counts, arena bytes) are quarantined
 //! in [`KernelStats`], which the digest never includes.
 
+use std::fmt;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -58,7 +60,7 @@ use crate::sim::arena::LaneArena;
 use crate::sim::exec::{EvSink, Exec};
 use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
-use crate::trace::TraceCollector;
+use crate::trace::{Fnv1a, TraceCollector};
 use crate::verify::live::{LaneBank, LiveConfig, LiveCounts};
 use crate::world::{Ev, WorldConfig};
 
@@ -323,7 +325,24 @@ impl UeOutcome {
     /// tallies, trace length/eviction counters and a hash of the full
     /// trace content.
     pub fn digest_line(&self) -> String {
-        format!(
+        let mut line = String::new();
+        self.write_digest_line(&mut line)
+            .expect("writing to a String cannot fail");
+        line
+    }
+
+    /// FNV-1a hash of [`Self::digest_line`] — the per-UE contribution to
+    /// the report's order-independent digest mix. The line is hashed as it
+    /// is formatted, never built.
+    pub fn line_hash(&self) -> u64 {
+        let mut h = Fnv1a::default();
+        self.write_digest_line(&mut h).expect("hashing cannot fail");
+        h.finish()
+    }
+
+    fn write_digest_line(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "ue {:>4} {:<5} events={:<6} plan={:<3} calls={:<3} s1={} s6={} \
              detach={} blocked={} stuck={} trace_len={} evicted={} trace_fnv={:016x}",
             self.id,
@@ -338,14 +357,8 @@ impl UeOutcome {
             self.metrics.stuck_in_3g_ms.len(),
             self.trace.len(),
             self.trace.evicted(),
-            fnv1a(self.trace.to_jsonl().as_bytes()),
+            self.trace.content_hash(),
         )
-    }
-
-    /// FNV-1a hash of [`Self::digest_line`] — the per-UE contribution to
-    /// the report's order-independent digest mix.
-    pub fn line_hash(&self) -> u64 {
-        fnv1a(self.digest_line().as_bytes())
     }
 }
 
@@ -431,16 +444,6 @@ impl FleetReport {
         out.push_str(&self.metrics.render());
         out
     }
-}
-
-/// FNV-1a over bytes (stable, dependency-free content hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Derive the per-UE seed from the fleet seed and the UE index.
@@ -1198,6 +1201,22 @@ mod tests {
             ues[1].trace.to_jsonl(),
             "different UEs see different trajectories"
         );
+    }
+
+    #[test]
+    fn line_hash_streams_exactly_the_digest_line() {
+        use std::fmt::Write as _;
+        let fnv = |s: &str| {
+            let mut h = Fnv1a::default();
+            h.write_str(s).unwrap();
+            h.finish()
+        };
+        let (_, ues) = small_fleet(1);
+        for u in &ues {
+            let line = u.digest_line();
+            assert!(line.ends_with(&format!("trace_fnv={:016x}", fnv(&u.trace.to_jsonl()))));
+            assert_eq!(u.line_hash(), fnv(&line));
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! (message kinds, state transitions, fault markers) instead of parsing
 //! the free-form description string.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
 
 use cellstack::{NasMessage, Protocol, RatSystem};
@@ -498,13 +500,32 @@ impl TraceCollector {
         s
     }
 
-    /// Serialize to JSON lines for offline analysis.
+    /// Serialize to JSON lines for offline analysis: one compact JSON
+    /// object per retained entry, `\n`-separated, no trailing newline.
     pub fn to_jsonl(&self) -> String {
-        self.live()
-            .iter()
-            .map(|e| serde_json::to_string(e).expect("trace entries serialize"))
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::new();
+        self.write_jsonl(&mut out)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    /// FNV-1a over exactly the bytes [`Self::to_jsonl`] returns, streamed
+    /// into the hash without building the text — the fleet digest's pin on
+    /// a UE's retained trace.
+    pub fn content_hash(&self) -> u64 {
+        let mut h = Fnv1a::default();
+        self.write_jsonl(&mut h).expect("hashing cannot fail");
+        h.finish()
+    }
+
+    fn write_jsonl(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        for (i, e) in self.live().iter().enumerate() {
+            if i > 0 {
+                out.write_char('\n')?;
+            }
+            e.serialize(&mut serde::Writer::compact(&mut *out))?;
+        }
+        Ok(())
     }
 
     /// Resident bytes of the collector's backing storage (entry headers
@@ -524,6 +545,34 @@ impl TraceCollector {
     /// No entries retained.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// 64-bit FNV-1a over the text written into it: a [`fmt::Write`] sink, so
+/// text is hashed as it is formatted instead of being built first.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// The hash of everything written so far.
+    pub(crate) fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 
