@@ -42,5 +42,5 @@ pub use netsim::verify::verdict;
 pub use automaton::{MatchedEvent, Monitor, MonitorReport, Signature, Step};
 pub use compile::{compile_witness, hand_signature, observable_for, CompiledWitness};
 pub use pattern::{FaultClass, Pattern};
-pub use runner::{count_signature, run_signature, Bank};
+pub use runner::{collect_spans, count_signature, run_signature, Bank};
 pub use verdict::Verdict;

@@ -88,8 +88,8 @@ pub use trace::{
     TraceType,
 };
 pub use verify::{
-    count_signature, run_signature, Bank, FaultClass, LaneBank, LiveConfig, LiveCounts,
-    MatchedEvent, Monitor, MonitorReport, Pattern, Signature, Step, Verdict, VerdictEvent,
-    VerdictStream,
+    collect_spans, count_signature, run_signature, Bank, FaultClass, LaneBank, LiveConfig,
+    LiveCounts, MatchedEvent, Monitor, MonitorReport, Pattern, Signature, Step, Verdict,
+    VerdictEvent, VerdictStream,
 };
 pub use world::{Ev, World, WorldConfig};

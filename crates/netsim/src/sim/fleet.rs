@@ -61,6 +61,7 @@ use crate::sim::exec::{EvSink, Exec};
 use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 use crate::trace::{Fnv1a, TraceCollector};
+use crate::verify::automaton::Signature;
 use crate::verify::live::{LaneBank, LiveConfig, LiveCounts};
 use crate::world::{Ev, WorldConfig};
 
@@ -645,6 +646,10 @@ where
     // with the class's carrier label (classes are few; the array per
     // class is small and flat).
     let mut kind_counts = vec![[0u64; Ev::KIND_NAMES.len()]; cfgs.len()];
+    // Lane-retirement counters, likewise per class and flushed once.
+    let live = fleet.live.as_ref();
+    let sigs = live.map_or(&[][..], |cfg| &cfg.signatures[..]);
+    let mut tallies: Vec<ClassTally> = cfgs.iter().map(|_| ClassTally::new(sigs.len())).collect();
     let mut wheel: TimingWheel<(UeId, BlockEv)> = TimingWheel::new();
     let mut arena = LaneArena::new();
     let mut scratch: Vec<Activity> = Vec::new();
@@ -652,7 +657,6 @@ where
     let mut blocks = 0u64;
     let mut bytes_peak = 0usize;
     let mut quarantined = 0u64;
-    let live = fleet.live.as_ref();
 
     for block_ids in ids.chunks(BLOCK) {
         blocks += 1;
@@ -809,61 +813,8 @@ where
                 events: arena.events[slot],
             };
             events_total += outcome.events;
-            let op = || vec![("op", outcome.op_name.to_string())];
-            registry.count("fleet_ue_total", op(), 1);
-            registry.count("fleet_lane_events_total", op(), outcome.events);
-            registry.count("fleet_calls_total", op(), outcome.metrics.call_setups.len() as u64);
-            registry.count("fleet_s1_total", op(), u64::from(outcome.metrics.s1_events));
-            registry.count("fleet_s6_total", op(), u64::from(outcome.metrics.s6_events));
-            registry.count(
-                "fleet_blocked_total",
-                op(),
-                u64::from(outcome.metrics.blocked_requests),
-            );
-            registry.count(
-                "fleet_trace_evicted_total",
-                Vec::new(),
-                outcome.trace.evicted(),
-            );
+            tallies[arena.class_of[slot] as usize].observe(&outcome);
             registry.observe("fleet_lane_events", Vec::new(), outcome.events);
-            if let (Some(cfg), Some(counts)) = (live, outcome.live.as_ref()) {
-                // Per-lane verdict tallies are a pure function of the
-                // lane's event stream, so these series are thread- and
-                // trace-capacity-invariant and safe in the digest.
-                for (k, sig) in cfg.signatures.iter().enumerate() {
-                    let sig_labels = |verdict: &str| {
-                        vec![
-                            ("sig", sig.name.clone()),
-                            ("op", outcome.op_name.to_string()),
-                            ("verdict", verdict.to_string()),
-                        ]
-                    };
-                    if counts.confirmed[k] > 0 {
-                        registry.count(
-                            "fleet_verdicts_total",
-                            sig_labels("confirmed"),
-                            u64::from(counts.confirmed[k]),
-                        );
-                    }
-                    if counts.refuted[k] > 0 {
-                        registry.count(
-                            "fleet_verdicts_total",
-                            sig_labels("refuted"),
-                            u64::from(counts.refuted[k]),
-                        );
-                    }
-                }
-                if counts.stream.dropped > 0 {
-                    registry.count(
-                        "fleet_verdicts_dropped_total",
-                        Vec::new(),
-                        counts.stream.dropped,
-                    );
-                }
-                if counts.poisoned {
-                    registry.count("fleet_monitor_poisoned_total", op(), 1);
-                }
-            }
             agg.observe_ue(&outcome);
             fold(&mut acc, outcome);
         }
@@ -873,6 +824,9 @@ where
         arena.banks = banks;
     }
 
+    for (class, tally) in tallies.iter().enumerate() {
+        tally.flush(&mut registry, cfgs[class].op.name, sigs);
+    }
     for (class, counts) in kind_counts.iter().enumerate() {
         let op = cfgs[class].op.name;
         for (i, &c) in counts.iter().enumerate() {
@@ -900,6 +854,99 @@ where
         events: events_total,
         quarantined,
         acc,
+    }
+}
+
+/// One behavior class's lane-retirement counters, summed as integers per
+/// retired lane and turned into labelled registry series once per shard.
+/// The flush creates exactly the series a per-lane `count` would: the
+/// unguarded counters whenever the class retired a lane (even at zero),
+/// the guarded ones only when their sum is positive.
+#[derive(Default)]
+struct ClassTally {
+    ues: u64,
+    events: u64,
+    calls: u64,
+    s1: u64,
+    s6: u64,
+    blocked: u64,
+    evicted: u64,
+    /// `[confirmed, refuted]` per live signature.
+    verdicts: Vec<[u64; 2]>,
+    verdicts_dropped: u64,
+    poisoned: u64,
+}
+
+impl ClassTally {
+    fn new(n_sigs: usize) -> Self {
+        Self {
+            verdicts: vec![[0; 2]; n_sigs],
+            ..Self::default()
+        }
+    }
+
+    fn observe(&mut self, outcome: &UeOutcome) {
+        self.ues += 1;
+        self.events += outcome.events;
+        self.calls += outcome.metrics.call_setups.len() as u64;
+        self.s1 += u64::from(outcome.metrics.s1_events);
+        self.s6 += u64::from(outcome.metrics.s6_events);
+        self.blocked += u64::from(outcome.metrics.blocked_requests);
+        self.evicted += outcome.trace.evicted();
+        if let Some(counts) = &outcome.live {
+            for (v, (&c, &r)) in self
+                .verdicts
+                .iter_mut()
+                .zip(counts.confirmed.iter().zip(&counts.refuted))
+            {
+                v[0] += u64::from(c);
+                v[1] += u64::from(r);
+            }
+            self.verdicts_dropped += counts.stream.dropped;
+            self.poisoned += u64::from(counts.poisoned);
+        }
+    }
+
+    fn flush(&self, registry: &mut MetricsRegistry, op: &str, sigs: &[Signature]) {
+        if self.ues == 0 {
+            return;
+        }
+        let op_label = || vec![("op", op.to_string())];
+        registry.count("fleet_ue_total", op_label(), self.ues);
+        registry.count("fleet_lane_events_total", op_label(), self.events);
+        registry.count("fleet_calls_total", op_label(), self.calls);
+        registry.count("fleet_s1_total", op_label(), self.s1);
+        registry.count("fleet_s6_total", op_label(), self.s6);
+        registry.count("fleet_blocked_total", op_label(), self.blocked);
+        registry.count("fleet_trace_evicted_total", Vec::new(), self.evicted);
+        // Per-lane verdict tallies are a pure function of the lane's
+        // event stream, so these series are thread- and
+        // trace-capacity-invariant and safe in the digest.
+        for (sig, v) in sigs.iter().zip(&self.verdicts) {
+            for (verdict, n) in ["confirmed", "refuted"].into_iter().zip(*v) {
+                if n > 0 {
+                    registry.count(
+                        "fleet_verdicts_total",
+                        vec![
+                            ("sig", sig.name.clone()),
+                            ("op", op.to_string()),
+                            ("verdict", verdict.to_string()),
+                        ],
+                        n,
+                    );
+                }
+            }
+        }
+        if self.verdicts_dropped > 0 {
+            registry.count(
+                "fleet_verdicts_dropped_total",
+                Vec::new(),
+                self.verdicts_dropped,
+            );
+        }
+        if self.poisoned > 0 {
+            registry.count("fleet_monitor_poisoned_total", op_label(), self.poisoned);
+        }
     }
 }
 

@@ -1,13 +1,18 @@
 //! Signature automata and their online evaluation.
 //!
 //! A [`Signature`] is a deterministic matcher: an ordered list of
-//! [`Step`]s plus negation arcs. A [`Monitor`] evaluates one signature
-//! online — entries stream in via [`Monitor::feed`], the automaton
+//! [`Step`]s plus negation arcs. A [`Cursor`] steps one signature
+//! online — entries stream in via [`Cursor::feed`], the automaton
 //! advances greedily on the first entry matching the awaited step, and
 //! the verdict hardens to [`Verdict::Confirmed`] when the last step
 //! matches, or to [`Verdict::Refuted`] the moment a forbidden pattern
-//! fires or a timed step's deadline passes. [`Monitor::finish`] closes
+//! fires or a timed step's deadline passes. [`Cursor::finish`] closes
 //! the trace and settles anything still pending.
+//!
+//! The cursor is 24 bytes of plain data and allocates nothing; the
+//! in-line lane banks ([`crate::verify::live`]) step it directly. A
+//! [`Monitor`] owns a signature and a cursor and records the evidence:
+//! the matched-event span and the refutation rendered as text.
 
 use serde::{Deserialize, Serialize};
 
@@ -131,20 +136,46 @@ pub struct MonitorReport {
     pub refutation: Option<String>,
 }
 
-/// Online evaluator for one [`Signature`].
-#[derive(Clone, Debug)]
-pub struct Monitor {
-    sig: Signature,
-    next: usize,
-    anchor: SimTime,
-    span: Vec<MatchedEvent>,
-    verdict: Verdict,
-    refutation: Option<String>,
+/// Why a [`Cursor`] refuted. String-free: [`Monitor`] renders the reason
+/// from the signature and the triggering entry only when it keeps
+/// evidence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Why {
+    /// Signature-global negation arc `i` fired.
+    Forbidden(usize),
+    /// A negation arc of the awaited step fired.
+    ForbiddenWhile,
+    /// The awaited step's deadline passed.
+    Expired(SimTime),
 }
 
-impl Monitor {
-    /// A monitor at the start of `sig`, anchored at trace time zero.
-    pub fn new(sig: Signature) -> Self {
+/// What one [`Cursor::feed`] or [`Cursor::finish`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fed {
+    /// Nothing changed (or the cursor was already definite).
+    Pending,
+    /// Step `k` matched; the cursor now awaits step `k + 1` (or is
+    /// `Confirmed` if `k` was the last).
+    Matched(usize),
+    /// Refuted while awaiting step `k`.
+    Refuted(usize, Why),
+}
+
+/// The bare automaton state of one signature run: which step is awaited,
+/// the anchor its deadline counts from, and the verdict. Plain data —
+/// the signature is passed to every call, so restarting a run is an
+/// assignment, never a clone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Cursor {
+    next: usize,
+    anchor: SimTime,
+    verdict: Verdict,
+}
+
+impl Cursor {
+    /// A cursor at the start of `sig`, with a timed first step measured
+    /// from `anchor`.
+    pub(crate) fn new(sig: &Signature, anchor: SimTime) -> Self {
         let verdict = if sig.steps.is_empty() {
             // Degenerate: nothing to wait for.
             Verdict::Confirmed
@@ -152,13 +183,92 @@ impl Monitor {
             Verdict::Inconclusive
         };
         Self {
-            sig,
             next: 0,
-            anchor: SimTime::from_millis(0),
-            span: Vec::new(),
+            anchor,
             verdict,
-            refutation: None,
         }
+    }
+
+    /// The current verdict.
+    pub(crate) fn verdict(&self) -> Verdict {
+        self.verdict
+    }
+
+    /// The awaited step's deadline. Saturating: an anchor near the end of
+    /// time (a corrupted timestamp) gives a deadline that never passes
+    /// rather than an overflow.
+    fn deadline(&self, sig: &Signature) -> Option<SimTime> {
+        sig.steps[self.next]
+            .within_ms
+            .map(|ms| SimTime(self.anchor.0.saturating_add(ms)))
+    }
+
+    fn refute(&mut self, why: Why) -> Fed {
+        self.verdict = Verdict::Refuted;
+        Fed::Refuted(self.next, why)
+    }
+
+    /// Feed one trace entry.
+    ///
+    /// Precedence per entry: signature-global negation arcs, then the
+    /// awaited step's negation arcs, then timed-step expiry, then the
+    /// awaited step's own pattern.
+    pub(crate) fn feed(&mut self, sig: &Signature, entry: &TraceEntry) -> Fed {
+        if self.verdict.is_definite() {
+            return Fed::Pending;
+        }
+        if let Some(i) = sig.forbidden.iter().position(|(_, pat)| pat.matches(entry)) {
+            return self.refute(Why::Forbidden(i));
+        }
+        let step = &sig.steps[self.next];
+        if step.forbidden.iter().any(|pat| pat.matches(entry)) {
+            return self.refute(Why::ForbiddenWhile);
+        }
+        if let Some(deadline) = self.deadline(sig) {
+            if entry.ts > deadline {
+                return self.refute(Why::Expired(deadline));
+            }
+        }
+        if !step.pattern.matches(entry) {
+            return Fed::Pending;
+        }
+        let k = self.next;
+        self.anchor = entry.ts;
+        self.next += 1;
+        if self.next == sig.steps.len() {
+            self.verdict = Verdict::Confirmed;
+        }
+        Fed::Matched(k)
+    }
+
+    /// Close the trace at time `end`: a pending timed step whose deadline
+    /// lies before `end` is refuted; anything else pending stays
+    /// `Inconclusive`.
+    pub(crate) fn finish(&mut self, sig: &Signature, end: SimTime) -> Fed {
+        if self.verdict.is_definite() {
+            return Fed::Pending;
+        }
+        match self.deadline(sig) {
+            Some(deadline) if end > deadline => self.refute(Why::Expired(deadline)),
+            _ => Fed::Pending,
+        }
+    }
+}
+
+/// Online evaluator for one [`Signature`]: a [`Cursor`] plus the evidence
+/// it produced — the matched-event span and the rendered refutation.
+#[derive(Clone, Debug)]
+pub struct Monitor {
+    sig: Signature,
+    cursor: Cursor,
+    span: Vec<MatchedEvent>,
+    refutation: Option<String>,
+}
+
+impl Monitor {
+    /// A monitor at the start of `sig`, anchored at trace time zero.
+    pub fn new(sig: Signature) -> Self {
+        Self::new_anchored(sig, SimTime::ZERO)
     }
 
     /// A monitor at the start of `sig`, anchored at `anchor` instead of
@@ -166,14 +276,26 @@ impl Monitor {
     /// occurrences over one long stream, where "trace start" for a timed
     /// first step is the point the previous occurrence settled.
     pub fn new_anchored(sig: Signature, anchor: SimTime) -> Self {
-        let mut m = Self::new(sig);
-        m.anchor = anchor;
-        m
+        Self {
+            cursor: Cursor::new(&sig, anchor),
+            sig,
+            span: Vec::new(),
+            refutation: None,
+        }
+    }
+
+    /// Reset to the start of the signature, anchored at `anchor`: the
+    /// same state as [`Monitor::new_anchored`], without cloning the
+    /// signature.
+    pub fn restart(&mut self, anchor: SimTime) {
+        self.cursor = Cursor::new(&self.sig, anchor);
+        self.span.clear();
+        self.refutation = None;
     }
 
     /// The current verdict.
     pub fn verdict(&self) -> Verdict {
-        self.verdict
+        self.cursor.verdict()
     }
 
     /// The signature being evaluated.
@@ -181,98 +303,58 @@ impl Monitor {
         &self.sig
     }
 
-    fn deadline(&self) -> Option<SimTime> {
-        self.sig.steps[self.next]
-            .within_ms
-            .map(|ms| self.anchor + ms)
-    }
-
-    fn refute(&mut self, why: String) -> Verdict {
-        self.verdict = Verdict::Refuted;
-        self.refutation = Some(why);
-        Verdict::Refuted
-    }
-
     /// Feed one trace entry; returns the (possibly hardened) verdict.
-    ///
-    /// Precedence per entry: signature-global negation arcs, then the
-    /// awaited step's negation arcs, then timed-step expiry, then the
-    /// awaited step's own pattern.
+    /// Precedence is [`Cursor::feed`]'s.
     pub fn feed(&mut self, entry: &TraceEntry) -> Verdict {
-        if self.verdict.is_definite() {
-            return self.verdict;
-        }
-        for (label, pat) in &self.sig.forbidden {
-            if pat.matches(entry) {
-                let why = format!("forbidden event at {}: {label} ({})", entry.ts.hhmmss(), entry.desc);
-                return self.refute(why);
-            }
-        }
-        let step = &self.sig.steps[self.next];
-        for pat in &step.forbidden {
-            if pat.matches(entry) {
-                let why = format!(
-                    "forbidden while awaiting `{}` at {}: {}",
-                    step.label,
-                    entry.ts.hhmmss(),
-                    entry.desc
-                );
-                return self.refute(why);
-            }
-        }
-        if let Some(deadline) = self.deadline() {
-            if entry.ts > deadline {
-                let why = format!(
-                    "step `{}` expired at {} (deadline {})",
-                    step.label,
-                    entry.ts.hhmmss(),
-                    deadline.hhmmss()
-                );
-                return self.refute(why);
-            }
-        }
-        if step.pattern.matches(entry) {
-            self.span.push(MatchedEvent {
+        match self.cursor.feed(&self.sig, entry) {
+            Fed::Pending => {}
+            Fed::Matched(k) => self.span.push(MatchedEvent {
                 ts: entry.ts,
-                step: step.label.clone(),
+                step: self.sig.steps[k].label.clone(),
                 desc: entry.desc.clone(),
                 event: entry.event.clone(),
-            });
-            self.anchor = entry.ts;
-            self.next += 1;
-            if self.next == self.sig.steps.len() {
-                self.verdict = Verdict::Confirmed;
+            }),
+            Fed::Refuted(k, why) => {
+                let at = entry.ts.hhmmss();
+                let label = &self.sig.steps[k].label;
+                self.refutation = Some(match why {
+                    Why::Forbidden(i) => format!(
+                        "forbidden event at {at}: {} ({})",
+                        self.sig.forbidden[i].0, entry.desc
+                    ),
+                    Why::ForbiddenWhile => {
+                        format!("forbidden while awaiting `{label}` at {at}: {}", entry.desc)
+                    }
+                    Why::Expired(deadline) => format!(
+                        "step `{label}` expired at {at} (deadline {})",
+                        deadline.hhmmss()
+                    ),
+                });
             }
         }
-        self.verdict
+        self.verdict()
     }
 
     /// Close the trace at time `end`: a pending timed step whose deadline
     /// lies before `end` is refuted; anything else pending stays
     /// `Inconclusive`.
     pub fn finish(&mut self, end: SimTime) -> Verdict {
-        if self.verdict.is_definite() {
-            return self.verdict;
+        if let Fed::Refuted(k, Why::Expired(deadline)) = self.cursor.finish(&self.sig, end) {
+            self.refutation = Some(format!(
+                "step `{}` still unmatched when the trace ended at {} (deadline {})",
+                self.sig.steps[k].label,
+                end.hhmmss(),
+                deadline.hhmmss()
+            ));
         }
-        if let Some(deadline) = self.deadline() {
-            if end > deadline {
-                let why = format!(
-                    "step `{}` still unmatched when the trace ended at {} (deadline {})",
-                    self.sig.steps[self.next].label,
-                    end.hhmmss(),
-                    deadline.hhmmss()
-                );
-                return self.refute(why);
-            }
-        }
-        self.verdict
+        self.verdict()
     }
 
     /// Snapshot the outcome.
     pub fn report(&self) -> MonitorReport {
         MonitorReport {
             signature: self.sig.name.clone(),
-            verdict: self.verdict,
+            verdict: self.verdict(),
             span: self.span.clone(),
             steps_total: self.sig.steps.len(),
             refutation: self.refutation.clone(),
@@ -287,5 +369,18 @@ impl MonitorReport {
             .iter()
             .map(|m| format!("{} {:<22} {}", m.ts.hhmmss(), m.step, m.desc))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_cursor_is_24_bytes_of_plain_data() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<Cursor>();
+        assert_eq!(std::mem::size_of::<Cursor>(), 24);
     }
 }

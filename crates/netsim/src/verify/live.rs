@@ -5,13 +5,16 @@
 //! needs the whole trace retained; at fleet scale the trace collectors
 //! run ring-bounded or count-only, so detection must consume each entry
 //! at emission time instead. A [`LaneBank`] holds one restartable
-//! [`Monitor`] per configured signature and replicates the scanner's
-//! occurrence-counting semantics exactly: when a monitor settles, a
-//! `Confirmed` verdict counts one occurrence, and a fresh monitor
-//! anchored at the settling entry's timestamp takes over from the next
-//! entry. The per-lane confirmed/refuted tallies are therefore a pure
-//! function of the lane's event stream — independent of trace retention
-//! mode and of the shard/thread layout — and fold into the fleet digest.
+//! signature cursor per configured signature and replicates the
+//! scanner's occurrence-counting semantics exactly: when a cursor
+//! settles, a `Confirmed` verdict counts one occurrence, and the cursor
+//! is reset in place, anchored at the settling entry's timestamp, for
+//! the next entry. The signatures themselves stay in the shared
+//! [`LiveConfig`]; stepping, settling and closing a lane never clones one
+//! or formats a string. The per-lane confirmed/refuted tallies are
+//! therefore a pure function of the lane's event stream — independent of
+//! trace retention mode and of the shard/thread layout — and fold into
+//! the fleet digest.
 //!
 //! Two things deliberately stay *out* of the digest: the bounded
 //! [`VerdictStream`] sample (which entries survive the cap is a
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use crate::trace::TraceEntry;
-use crate::verify::automaton::{MatchedEvent, Monitor, Signature};
+use crate::verify::automaton::{Cursor, Fed, MatchedEvent, Signature};
 use crate::verify::verdict::Verdict;
 use crate::SimTime;
 
@@ -125,10 +128,13 @@ pub struct LiveCounts {
     pub poisoned: bool,
 }
 
-/// One lane's bank of restartable monitors.
+/// One lane's bank of restartable signature cursors.
 #[derive(Clone, Debug, Default)]
 pub struct LaneBank {
-    monitors: Vec<Monitor>,
+    cursors: Vec<Cursor>,
+    /// Matched prefix of each signature's pending occurrence; empty
+    /// (never filled) unless spans are kept.
+    pending: Vec<Vec<MatchedEvent>>,
     counts: LiveCounts,
     keep_spans: bool,
     chaos_panic: bool,
@@ -140,11 +146,16 @@ impl LaneBank {
     pub fn new(cfg: &LiveConfig, ue: u32) -> Self {
         let n = cfg.signatures.len();
         Self {
-            monitors: cfg
+            cursors: cfg
                 .signatures
                 .iter()
-                .map(|s| Monitor::new(s.clone()))
+                .map(|s| Cursor::new(s, SimTime::ZERO))
                 .collect(),
+            pending: if cfg.keep_spans {
+                vec![Vec::new(); n]
+            } else {
+                Vec::new()
+            },
             counts: LiveCounts {
                 confirmed: vec![0; n],
                 refuted: vec![0; n],
@@ -162,15 +173,21 @@ impl LaneBank {
         self.counts.poisoned
     }
 
-    fn settle(&mut self, k: usize, ts: SimTime, verdict: Verdict, span: Vec<MatchedEvent>) {
+    fn settle(&mut self, k: usize, ts: SimTime, verdict: Verdict) {
         match verdict {
             Verdict::Confirmed => {
                 self.counts.confirmed[k] += 1;
                 if self.keep_spans {
+                    let span = std::mem::take(&mut self.pending[k]);
                     self.counts.spans[k].push(span);
                 }
             }
-            Verdict::Refuted => self.counts.refuted[k] += 1,
+            Verdict::Refuted => {
+                self.counts.refuted[k] += 1;
+                if self.keep_spans {
+                    self.pending[k].clear();
+                }
+            }
             Verdict::Inconclusive => return,
         }
         self.counts.stream.push(VerdictEvent {
@@ -180,7 +197,7 @@ impl LaneBank {
         });
     }
 
-    /// Feed one entry to every monitor, restarting any that settles —
+    /// Feed one entry to every cursor, restarting any that settles —
     /// the exact `count_signature` loop body, applied per signature.
     /// Stepless signatures are skipped (the scanner counts them as zero).
     fn feed(&mut self, sigs: &[Signature], entry: &TraceEntry) {
@@ -191,12 +208,20 @@ impl LaneBank {
             if sig.steps.is_empty() {
                 continue;
             }
-            let m = &mut self.monitors[k];
-            if m.feed(entry).is_definite() {
-                let verdict = m.verdict();
-                let span = m.report().span;
-                *m = Monitor::new_anchored(sig.clone(), entry.ts);
-                self.settle(k, entry.ts, verdict, span);
+            let cursor = &mut self.cursors[k];
+            let fed = cursor.feed(sig, entry);
+            let verdict = cursor.verdict();
+            if let (true, Fed::Matched(step)) = (self.keep_spans, fed) {
+                self.pending[k].push(MatchedEvent {
+                    ts: entry.ts,
+                    step: sig.steps[step].label.clone(),
+                    desc: entry.desc.clone(),
+                    event: entry.event.clone(),
+                });
+            }
+            if verdict.is_definite() {
+                self.cursors[k] = Cursor::new(sig, entry.ts);
+                self.settle(k, entry.ts, verdict);
             }
         }
     }
@@ -238,12 +263,10 @@ impl LaneBank {
             if sig.steps.is_empty() {
                 continue;
             }
-            let m = &mut self.monitors[k];
-            let verdict = m.finish(end);
-            if verdict.is_definite() {
-                let span = m.report().span;
-                self.settle(k, end, verdict, span);
-            }
+            let cursor = &mut self.cursors[k];
+            cursor.finish(sig, end);
+            let verdict = cursor.verdict();
+            self.settle(k, end, verdict);
         }
     }
 

@@ -24,5 +24,5 @@ pub mod verdict;
 pub use automaton::{MatchedEvent, Monitor, MonitorReport, Signature, Step};
 pub use live::{LaneBank, LiveConfig, LiveCounts, VerdictEvent, VerdictStream};
 pub use pattern::{FaultClass, Pattern};
-pub use runner::{count_signature, run_signature, Bank};
+pub use runner::{collect_spans, count_signature, run_signature, Bank};
 pub use verdict::Verdict;

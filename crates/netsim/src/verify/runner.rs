@@ -3,7 +3,7 @@
 use crate::trace::TraceEntry;
 use crate::SimTime;
 
-use crate::verify::automaton::{Monitor, MonitorReport, Signature};
+use crate::verify::automaton::{MatchedEvent, Monitor, MonitorReport, Signature};
 use crate::verify::verdict::Verdict;
 
 /// Run one signature over a complete trace, closing it at `end`.
@@ -41,13 +41,34 @@ pub fn count_signature(sig: &Signature, entries: &[TraceEntry], end: SimTime) ->
             if m.verdict() == Verdict::Confirmed {
                 count += 1;
             }
-            m = Monitor::new_anchored(sig.clone(), e.ts);
+            m.restart(e.ts);
         }
     }
     if m.finish(end) == Verdict::Confirmed {
         count += 1;
     }
     count
+}
+
+/// Collect every confirmed evidence span of `sig` across one long trace,
+/// restarting exactly as [`count_signature`] does, so matched episodes
+/// never overlap and a refuted prefix cannot mask a later occurrence.
+/// (No trailing `finish`: closing a trace can refute but never confirm.)
+pub fn collect_spans(sig: &Signature, entries: &[TraceEntry]) -> Vec<Vec<MatchedEvent>> {
+    let mut spans = Vec::new();
+    if sig.steps.is_empty() {
+        return spans;
+    }
+    let mut m = Monitor::new(sig.clone());
+    for e in entries {
+        if m.feed(e).is_definite() {
+            if m.verdict() == Verdict::Confirmed {
+                spans.push(m.report().span);
+            }
+            m.restart(e.ts);
+        }
+    }
+    spans
 }
 
 /// A bank of monitors evaluated online over one shared feed — the

@@ -17,7 +17,7 @@
 //! which covers both carriers' failure shapes.
 
 use cellstack::RatSystem;
-use monitor::{MatchedEvent, Monitor, Pattern, Signature, Verdict};
+use monitor::{MatchedEvent, Pattern, Signature};
 use netsim::trace::{CallPhase, HazardKind, TraceEntry};
 use netsim::SimTime;
 
@@ -77,26 +77,10 @@ pub fn s6_detach() -> Signature {
         .step("deregistered", Pattern::registration(false))
 }
 
-/// Collect every confirmed evidence span of `sig` across one long trace:
-/// the monitor restarts (anchored at the settling entry) after each
-/// definite verdict, so matched episodes never overlap and a refuted
-/// prefix cannot mask a later occurrence.
-pub fn collect_spans(sig: &Signature, entries: &[TraceEntry]) -> Vec<Vec<MatchedEvent>> {
-    let mut spans = Vec::new();
-    if sig.steps.is_empty() {
-        return spans;
-    }
-    let mut m = Monitor::new(sig.clone());
-    for e in entries {
-        if m.feed(e).is_definite() {
-            if m.verdict() == Verdict::Confirmed {
-                spans.push(m.report().span);
-            }
-            m = Monitor::new_anchored(sig.clone(), e.ts);
-        }
-    }
-    spans
-}
+/// Every confirmed evidence span of a signature across one long trace —
+/// the post-hoc scanner that the fleet's in-line `keep_spans` banks must
+/// agree with.
+pub use monitor::collect_spans;
 
 /// One S3 episode recovered from the trace: when the CSFB call was
 /// released and when the phone was back on 4G. The difference is the
