@@ -25,6 +25,8 @@ use serde::{Deserialize, Serialize};
 
 use cellstack::MsgClass;
 
+use crate::time::SimTime;
+
 /// What happened to one injected message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Fate {
@@ -442,6 +444,16 @@ impl Campaign {
     /// Index of the first phase active at `now_ms`.
     pub fn phase_index(&self, now_ms: u64) -> Option<usize> {
         self.phases.iter().position(|p| p.active_at(now_ms))
+    }
+
+    /// `(phase index, end time)` of every phase that restarts downed nodes
+    /// when it ends — the phase-end events a simulation schedules up front.
+    pub fn restart_ends(&self) -> impl Iterator<Item = (usize, SimTime)> + '_ {
+        self.phases
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.restart_at_end && !p.down.is_empty())
+            .map(|(i, p)| (i, SimTime::from_millis(p.end_ms)))
     }
 }
 

@@ -6,7 +6,7 @@
 //! It executes the *same* protocol state machines the screening phase
 //! checks (crate `cellstack`), under:
 //!
-//! * simulated time and latency ([`time`], [`event`]),
+//! * simulated time and latency ([`time`], [`sim::wheel`]),
 //! * a radio model mapping distance → RSSI → loss and modulation → rate
 //!   ([`radio`], [`mobility`]),
 //! * per-carrier policy profiles OP-I / OP-II ([`operator`]),
@@ -20,11 +20,12 @@
 //! and per-instance occurrence counts (Table 5).
 //!
 //! The central type is [`World`]: one phone (full [`cellstack::DeviceStack`])
-//! against one carrier's MSC, 3G gateways, and MME, driven by an event
-//! queue. Scenarios schedule user actions (dial, hangup, data on/off,
-//! drives) and the world routes signaling with operator latencies, running
-//! the CSFB choreography, the inter-system switches and the S1–S6 hazards
-//! exactly as the FSMs dictate.
+//! against one carrier's MSC, 3G gateways, and MME, driven by the same
+//! timing wheel and executive as the fleet ([`FleetSim`]). Scenarios
+//! schedule user actions (dial, hangup, data on/off, drives) and the world
+//! routes signaling with operator latencies, running the CSFB
+//! choreography, the inter-system switches and the S1–S6 hazards exactly
+//! as the FSMs dictate.
 //!
 //! # Example: one CSFB call on the OP-II carrier
 //!
@@ -47,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod fleetmetrics;
 pub mod hss;
 pub mod inject;
@@ -64,7 +64,6 @@ pub mod trace;
 pub mod verify;
 pub mod world;
 
-pub use event::{EventHandle, EventQueue};
 pub use fleetmetrics::{MetricSample, MetricsRegistry, MetricsSnapshot};
 pub use hss::{Hss, SubscriberRecord, Subscription};
 pub use inject::{

@@ -52,32 +52,34 @@ pub struct CarrierCore {
     /// The home subscriber server (consulted on 4G attach).
     pub hss: Hss,
     sessions: SessionTable<CoreSession>,
-    /// The §8 MME-side remedy applied to every session this core creates.
-    mme_remedy: bool,
+}
+
+impl Default for CarrierCore {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CarrierCore {
-    /// A fresh core. Sessions are created on demand as subscribers signal;
-    /// each new MME inherits the `mme_remedy` flag.
-    pub fn new(mme_remedy: bool) -> Self {
+    /// A fresh core with no sessions.
+    pub fn new() -> Self {
         Self {
             hss: Hss::new(),
             sessions: SessionTable::new(),
-            mme_remedy,
         }
     }
 
-    /// The session bundle serving `imsi`, created on first contact.
+    /// The session bundle serving `imsi`. A subscriber that was never
+    /// provisioned ([`Self::provision_session`]) gets an unremedied
+    /// session on first contact.
     pub fn session(&mut self, imsi: u64) -> &mut CoreSession {
-        let remedy = self.mme_remedy;
-        self.sessions.session_with(imsi, || CoreSession::new(remedy))
+        self.sessions.session_with(imsi, || CoreSession::new(false))
     }
 
-    /// Eagerly create the session for `imsi` with an explicit per-subscriber
-    /// MME-remedy flag, overriding the core-wide default. The fleet uses
-    /// this to roll a remedy out per carrier profile while blocks of UEs on
-    /// different profiles share one core. Idempotent: an existing session is
-    /// left untouched.
+    /// Eagerly create the session for `imsi` with its MME-remedy flag. The
+    /// remedy is rolled out per subscriber, not per core, so one core can
+    /// serve UEs on remedied and base carrier profiles. Idempotent: an
+    /// existing session is left untouched.
     pub fn provision_session(&mut self, imsi: u64, mme_remedy: bool) {
         self.sessions
             .session_with(imsi, || CoreSession::new(mme_remedy));
@@ -97,18 +99,14 @@ impl CarrierCore {
     /// for *every* session (a restarted MME forgets all its UEs at once),
     /// in deterministic IMSI order.
     pub fn restart(&mut self, node: NodeId) {
-        let core_remedy = self.mme_remedy;
         for (_, s) in self.sessions.iter_mut() {
             match node {
                 NodeId::Mme => {
                     // Preserve the per-session remedy flag across the
                     // restart: it is carrier configuration, not volatile
                     // subscriber state.
-                    let remedied = core_remedy || !s.mme.forward_lu_failure;
                     let mut mme = MmeEmm::new();
-                    if remedied {
-                        mme.forward_lu_failure = false;
-                    }
+                    mme.forward_lu_failure = s.mme.forward_lu_failure;
                     s.mme = mme;
                     s.mme_esm = MmeEsm::new();
                 }
@@ -124,5 +122,33 @@ impl CarrierCore {
                 NodeId::Bs4g | NodeId::Bs3g => {}
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cellstack::emm::MmeUeState;
+
+    /// An MME restart wipes every session's volatile state but keeps each
+    /// session's own remedy flag; a session created on first contact is
+    /// unremedied.
+    #[test]
+    fn mme_restart_keeps_each_sessions_remedy_flag() {
+        let (remedied, base, contacted) = (1, 2, 3);
+        let mut core = CarrierCore::new();
+        core.provision_session(remedied, true);
+        core.provision_session(base, false);
+        for imsi in [remedied, base, contacted] {
+            core.session(imsi).mme.state = MmeUeState::Registered;
+        }
+        core.restart(NodeId::Mme);
+        let mme = |imsi| &core.session_if_known(imsi).expect("session kept").mme;
+        assert!([remedied, base, contacted]
+            .iter()
+            .all(|&imsi| mme(imsi).state == MmeUeState::Deregistered));
+        assert!(!mme(remedied).forward_lu_failure);
+        assert!(mme(base).forward_lu_failure);
+        assert!(mme(contacted).forward_lu_failure);
     }
 }

@@ -2,13 +2,13 @@
 //! the shared carrier core.
 //!
 //! [`Exec`] borrows the disjoint pieces a handler needs — the phone
-//! ([`Ue`]), the carrier ([`CarrierCore`]), the shared event queue and the
+//! ([`Ue`]), the carrier ([`CarrierCore`]), the shared timing wheel and the
 //! configuration — and performs exactly the choreography the pre-fleet
 //! `World` did, with every latency drawn from the *UE's* RNG stream and
 //! every carrier-machine access going through the per-IMSI session table.
 //! The single-UE [`crate::World`] facade and the fleet driver both step
-//! events through this executive, which is what keeps the two observably
-//! identical for one phone.
+//! events through this executive on a [`TimingWheel`], which is what keeps
+//! the two observably identical for one phone.
 
 use std::collections::VecDeque;
 
@@ -22,34 +22,29 @@ use cellstack::{
     Registration, StackEvent, SwitchMechanism, UpdateKind,
 };
 
-use crate::event::EventQueue;
 use crate::inject::{AdvFate, Fate, Leg, NodeId};
 use crate::metrics::{CallSetup, ThroughputSample};
 use crate::node::{CarrierCore, CoreSession, Ue, UeId};
 use crate::radio::{achievable_kbps, ChannelConfig, Rssi};
+use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 use crate::trace::{CallPhase, FaultEvent, FaultKind, HazardKind, TraceEvent, TraceType};
 use crate::world::{Ev, WorldConfig};
 
-/// Destination for the events the executive schedules. The single-UE
-/// facade plugs in its [`EventQueue`]; the fleet plugs in its timing
-/// wheel (wrapping the payload in its block-level event type). The
-/// executive is monomorphized per sink, so the indirection costs nothing
-/// on the hot path.
-pub(crate) trait EvSink {
-    /// Schedule `key` at absolute time `at`.
-    fn schedule(&mut self, at: SimTime, key: (UeId, Ev));
-}
-
-impl EvSink for EventQueue<(UeId, Ev)> {
-    fn schedule(&mut self, at: SimTime, key: (UeId, Ev)) {
-        EventQueue::schedule(self, at, key);
-    }
+/// A scheduled simulation event: either an event for the executive, or
+/// the fleet's control event that materializes a lane's next planned
+/// activity. The facade schedules only [`BlockEv::Sim`].
+#[derive(Clone, Debug)]
+pub(crate) enum BlockEv {
+    /// An executive event.
+    Sim(Ev),
+    /// Materialize the lane's next pending activity.
+    NextActivity,
 }
 
 /// One event-handling context: the UE the event belongs to, the carrier it
-/// signals into, the queue future events go to, and the clock.
-pub(crate) struct Exec<'a, Q: EvSink> {
+/// signals into, the wheel future events go to, and the clock.
+pub(crate) struct Exec<'a> {
     /// Current simulated time (the time of the event being handled).
     pub now: SimTime,
     /// The UE's configuration (per-lane in a fleet).
@@ -58,13 +53,14 @@ pub(crate) struct Exec<'a, Q: EvSink> {
     pub ue: &'a mut Ue,
     /// The shared carrier core.
     pub carrier: &'a mut CarrierCore,
-    /// The shared event queue; scheduled events carry the UE's id.
-    pub queue: &'a mut Q,
+    /// The shared timing wheel; scheduled events carry the UE's id.
+    pub wheel: &'a mut TimingWheel<(UeId, BlockEv)>,
 }
 
-impl<Q: EvSink> Exec<'_, Q> {
+impl Exec<'_> {
     fn schedule_in(&mut self, delay_ms: u64, ev: Ev) {
-        self.queue.schedule(self.now + delay_ms, (self.ue.id, ev));
+        self.wheel
+            .schedule(self.now + delay_ms, (self.ue.id, BlockEv::Sim(ev)));
     }
 
     /// The carrier session serving this UE.

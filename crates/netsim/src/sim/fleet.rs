@@ -57,7 +57,7 @@ use crate::operator::OperatorProfile;
 use crate::rng::{rng_from_seed, sample_lognormal};
 use crate::sim::agg::{FleetAgg, PlanSummary};
 use crate::sim::arena::LaneArena;
-use crate::sim::exec::{EvSink, Exec};
+use crate::sim::exec::{BlockEv, Exec};
 use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 use crate::trace::{Fnv1a, TraceCollector};
@@ -473,22 +473,6 @@ const BLOCK: usize = 64;
 /// pre-anchor event offset any activity kind schedules.
 const LEAD_MS: u64 = 3_000;
 
-/// Block-level event: either a simulation event for the executive, or the
-/// control event that materializes a lane's next planned activity.
-#[derive(Clone, Debug)]
-pub(crate) enum BlockEv {
-    /// An executive event.
-    Sim(Ev),
-    /// Materialize the lane's next pending activity.
-    NextActivity,
-}
-
-impl EvSink for TimingWheel<(UeId, BlockEv)> {
-    fn schedule(&mut self, at: SimTime, key: (UeId, Ev)) {
-        TimingWheel::schedule(self, at, (key.0, BlockEv::Sim(key.1)));
-    }
-}
-
 impl FleetSim {
     /// Build a fleet from its configuration.
     pub fn new(cfg: FleetConfig) -> Self {
@@ -665,7 +649,7 @@ where
         // A fresh core per block: every carrier machine is keyed per IMSI
         // and blocks are disjoint, so this is observably identical to one
         // shared core — but its session table stays O(block).
-        let mut carrier = CarrierCore::new(false);
+        let mut carrier = CarrierCore::new();
 
         for &i in block_ids {
             let class = fleet.class_of(i as usize);
@@ -692,15 +676,9 @@ where
                     mix_seed(campaign.seed, i),
                 ));
                 // Phase-end restarts are part of the plan, scheduled up
-                // front per lane (mirrors `World::new`).
-                for (pi, p) in campaign.phases.iter().enumerate() {
-                    if p.restart_at_end && !p.down.is_empty() {
-                        TimingWheel::schedule(
-                            &mut wheel,
-                            SimTime::from_millis(p.end_ms),
-                            (UeId(i), BlockEv::Sim(Ev::FaultPhaseEnd(pi))),
-                        );
-                    }
+                // front per lane.
+                for (pi, end) in campaign.restart_ends() {
+                    wheel.schedule(end, (UeId(i), BlockEv::Sim(Ev::FaultPhaseEnd(pi))));
                 }
             }
             let bank = match live {
@@ -719,8 +697,7 @@ where
             } else {
                 RatSystem::Lte4g
             };
-            TimingWheel::schedule(
-                &mut wheel,
+            wheel.schedule(
                 SimTime::from_millis(1_000),
                 (UeId(i), BlockEv::Sim(Ev::PowerOn(start_system))),
             );
@@ -748,11 +725,7 @@ where
                         RatSystem::Lte4g
                     };
                     materialize(&a, home, |at_ms, ev| {
-                        TimingWheel::schedule(
-                            &mut wheel,
-                            SimTime::from_millis(at_ms),
-                            (id, BlockEv::Sim(ev)),
-                        );
+                        wheel.schedule(SimTime::from_millis(at_ms), (id, BlockEv::Sim(ev)));
                     });
                     refill_and_arm(fleet, &mut arena, slot, id, &mut wheel, &mut scratch);
                 }
@@ -765,7 +738,7 @@ where
                         cfg: &cfgs[class],
                         ue: &mut arena.ues[slot],
                         carrier: &mut carrier,
-                        queue: &mut wheel,
+                        wheel: &mut wheel,
                     };
                     ex.handle(ev);
                     if let Some(cfg) = live {
@@ -983,8 +956,7 @@ fn refill_and_arm(
         pending.extend(scratch.iter().rev().copied());
     }
     if let Some(at) = arena.next_activity_at(slot) {
-        TimingWheel::schedule(
-            wheel,
+        wheel.schedule(
             SimTime::from_millis(at.as_millis() - LEAD_MS),
             (id, BlockEv::NextActivity),
         );

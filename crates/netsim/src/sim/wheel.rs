@@ -1,13 +1,12 @@
-//! The fleet's hierarchical timing wheel.
+//! The simulator's hierarchical timing wheel.
 //!
-//! The [`crate::event::EventQueue`] is a binary heap: O(log n) per
-//! schedule/pop plus a `HashMap` touch per event for the cancellation
-//! slots. That is fine for one phone; at a million UEs the heap walk and
-//! the hash traffic dominate the step loop. [`TimingWheel`] replaces it on
-//! the fleet hot path with the classic hashed hierarchical wheel
-//! (Varghese & Lauck): `LEVELS` levels of 64 slots each, level `l`
-//! spanning `64^(l+1)` ms, with a 64-bit occupancy bitmap per level so
-//! finding the next non-empty slot is a `trailing_zeros`.
+//! Every simulation in this crate — the single-phone [`crate::World`] and
+//! each fleet shard — schedules its events here. [`TimingWheel`] is the
+//! classic hashed hierarchical wheel (Varghese & Lauck): `LEVELS` levels of
+//! 64 slots each, level `l` spanning `64^(l+1)` ms, with a 64-bit
+//! occupancy bitmap per level so finding the next non-empty slot is a
+//! `trailing_zeros`. Eleven levels cover all 64 bits of a [`SimTime`], so
+//! every representable time is schedulable.
 //!
 //! * **schedule** is O(1): XOR the target time against the cursor, the
 //!   highest differing 6-bit group is the level, the group value is the
@@ -20,8 +19,8 @@
 //!   removes it in place with a short slot scan — no per-event hashing on
 //!   the schedule/pop path at all.
 //!
-//! Determinism contract (shared with `EventQueue`, pinned by the
-//! equivalence property test in `tests/proptests.rs`): events pop in
+//! Determinism contract (pinned against a reference queue by the
+//! equivalence property tests in `tests/proptests.rs`): events pop in
 //! `(time, insertion seq)` order. Cascades drain slots front-to-back and
 //! re-insert with `push_back`, which preserves insertion order among
 //! same-time entries; a slot at level 0 holds exactly one millisecond, so
@@ -35,9 +34,9 @@ use crate::time::SimTime;
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Levels. 7 levels cover `64^7` ms ≈ 140 years of simulated time, so no
-/// overflow list is needed for any realistic horizon.
-const LEVELS: usize = 7;
+/// Levels. 11 levels of 6 bits cover all 64 bits of a millisecond
+/// timestamp, so no time needs an overflow list.
+const LEVELS: usize = 11;
 
 /// One scheduled entry.
 #[derive(Clone, Debug)]
@@ -197,7 +196,11 @@ impl<E> TimingWheel<E> {
             let slot = self.occupied[lvl].trailing_zeros() as usize;
             let step = SLOT_BITS * lvl as u32;
             // Advance the cursor to the start of that slot's window.
-            let keep_mask = !((1u64 << (step + SLOT_BITS)) - 1);
+            // At the top level the window spans all 64 bits (the shift
+            // reaches 66) and no cursor bit is kept.
+            let keep_mask = 1u64
+                .checked_shl(step + SLOT_BITS)
+                .map_or(0, |window| !(window - 1));
             self.now = (self.now & keep_mask) | ((slot as u64) << step);
             self.occupied[lvl] &= !(1 << slot);
             let mut q = std::mem::take(&mut self.slots[lvl * SLOTS + slot]);
@@ -391,6 +394,22 @@ mod tests {
         for &t in &sorted {
             assert_eq!(w.pop().unwrap().0, ms(t));
         }
+    }
+
+    #[test]
+    fn every_representable_time_is_schedulable() {
+        let mut w = TimingWheel::new();
+        let times = [u64::MAX, 1 << 62, 5, u64::MAX - 1, 1 << 45, 86_400_000];
+        for &t in &times {
+            w.schedule(ms(t), t);
+        }
+        let mut sorted = times;
+        sorted.sort_unstable();
+        for &t in &sorted {
+            assert_eq!(w.peek_time(), Some(ms(t)));
+            assert_eq!(w.pop(), Some((ms(t), t)));
+        }
+        assert!(w.pop().is_none());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The single-phone simulation facade: one UE against one carrier.
 //!
 //! [`World`] is a thin facade over exactly one [`Ue`] plus one
-//! [`CarrierCore`] stepped by the shared executive in [`crate::sim`]. A
+//! [`CarrierCore`], stepped by the shared executive in [`crate::sim`] on
+//! the same [`TimingWheel`] the fleet uses — a one-lane fleet. A
 //! scenario is expressed by scheduling [`Ev`] events (power-on, dial,
 //! data-on, drives, network-initiated deactivations) and then calling
 //! [`World::run_until`]; the executive performs the signaling
@@ -20,13 +21,12 @@ use cellstack::{
     Domain, NasMessage, NasTimer, PdpDeactivationCause, RatSystem, UpdateKind,
 };
 
-use crate::event::EventQueue;
 use crate::inject::{Campaign, CampaignReport, Injection};
 use crate::mobility::Drive;
 use crate::node::{CarrierCore, CoreSession, Ue, UeId};
 use crate::operator::OperatorProfile;
-use crate::radio::Rssi;
-use crate::sim::exec::Exec;
+use crate::sim::exec::{BlockEv, Exec};
+use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 
 /// Simulation events.
@@ -290,7 +290,8 @@ impl WorldConfig {
 const FACADE_IMSI: u64 = 310_410_000_001;
 
 /// The single-phone simulation world: a facade over one [`Ue`] and one
-/// [`CarrierCore`], stepped by the shared fleet executive.
+/// [`CarrierCore`], stepped by the shared fleet executive on its own
+/// timing wheel.
 pub struct World {
     /// Current simulated time.
     pub now: SimTime,
@@ -301,7 +302,7 @@ pub struct World {
     pub ue: Ue,
     /// The carrier core: HSS plus per-IMSI session machines.
     pub carrier: CarrierCore,
-    queue: EventQueue<(UeId, Ev)>,
+    wheel: TimingWheel<(UeId, BlockEv)>,
 }
 
 impl std::ops::Deref for World {
@@ -321,7 +322,7 @@ impl World {
     /// Build a world from a configuration.
     pub fn new(cfg: WorldConfig) -> Self {
         let ue = Ue::from_config(UeId(0), FACADE_IMSI, &cfg);
-        let mut carrier = CarrierCore::new(cfg.mme_remedy);
+        let mut carrier = CarrierCore::new();
         // The phone is provisioned as a normal LTE subscriber; scenarios
         // may re-provision to test reject causes.
         carrier.hss.provision(crate::hss::SubscriberRecord {
@@ -329,26 +330,19 @@ impl World {
             subscription: crate::hss::Subscription::Active,
             lte_enabled: true,
         });
-        let mut w = Self {
+        carrier.provision_session(FACADE_IMSI, cfg.mme_remedy);
+        // Phase-end restarts are part of the plan, scheduled up front.
+        let mut wheel = TimingWheel::new();
+        for (i, end) in cfg.campaign.iter().flat_map(Campaign::restart_ends) {
+            wheel.schedule(end, (ue.id, BlockEv::Sim(Ev::FaultPhaseEnd(i))));
+        }
+        Self {
             now: SimTime::ZERO,
             cfg,
             ue,
             carrier,
-            queue: EventQueue::new(),
-        };
-        // Phase-end restarts are part of the plan, scheduled up front.
-        let phase_ends: Vec<(usize, u64)> = w
-            .cfg
-            .campaign
-            .iter()
-            .flat_map(|c| c.phases.iter().enumerate())
-            .filter(|(_, p)| p.restart_at_end && !p.down.is_empty())
-            .map(|(i, p)| (i, p.end_ms))
-            .collect();
-        for (i, end_ms) in phase_ends {
-            w.schedule_at(SimTime::from_millis(end_ms), Ev::FaultPhaseEnd(i));
+            wheel,
         }
-        w
     }
 
     /// The adversary's deterministic campaign report, if a campaign runs.
@@ -357,7 +351,7 @@ impl World {
     }
 
     /// The carrier session bundle serving this phone (MSC-MM/CC, SGSN,
-    /// MME), created on first access.
+    /// MME), provisioned by [`World::new`] with [`WorldConfig::mme_remedy`].
     pub fn session(&mut self) -> &mut CoreSession {
         self.carrier.session(self.ue.imsi)
     }
@@ -370,29 +364,35 @@ impl World {
 
     /// Schedule `ev` `delay_ms` from now.
     pub fn schedule_in(&mut self, delay_ms: u64, ev: Ev) {
-        self.queue.schedule(self.now + delay_ms, (self.ue.id, ev));
+        self.schedule_at(self.now + delay_ms, ev);
     }
 
-    /// Schedule `ev` at absolute time `at`.
+    /// Schedule `ev` at absolute time `at`. A time before [`World::now`]
+    /// is clamped to `now`: the past is not schedulable, so the event
+    /// fires next, after the events already pending at `now`.
     pub fn schedule_at(&mut self, at: SimTime, ev: Ev) {
-        self.queue.schedule(at, (self.ue.id, ev));
+        self.wheel
+            .schedule(at.max(self.now), (self.ue.id, BlockEv::Sim(ev)));
     }
 
     /// Run the event loop until `deadline` (events at exactly `deadline`
     /// are processed).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(at) = self.queue.peek_time() {
+        while let Some(at) = self.wheel.peek_time() {
             if at > deadline {
                 break;
             }
-            let (at, (_id, ev)) = self.queue.pop().expect("peeked");
+            let (at, (_id, bev)) = self.wheel.pop().expect("peeked");
+            let BlockEv::Sim(ev) = bev else {
+                unreachable!("the facade schedules only simulation events");
+            };
             self.now = at;
             let mut ex = Exec {
                 now: self.now,
                 cfg: &self.cfg,
                 ue: &mut self.ue,
                 carrier: &mut self.carrier,
-                queue: &mut self.queue,
+                wheel: &mut self.wheel,
             };
             ex.handle(ev);
         }
@@ -405,19 +405,6 @@ impl World {
     pub fn run_to_quiescence(&mut self, max_ms: u64) {
         let deadline = self.now + max_ms;
         self.run_until(deadline);
-    }
-
-    /// Current RSSI: the drive position if driving, else the static value.
-    pub fn current_rssi(&self) -> Rssi {
-        match &self.ue.drive {
-            Some(d) => d.route.rssi_at(self.ue.last_mile),
-            None => Rssi(self.cfg.static_rssi_dbm),
-        }
-    }
-
-    /// Current hour of simulated day.
-    pub fn current_hour(&self) -> u32 {
-        (self.cfg.start_hour + (self.now.as_millis() / 3_600_000) as u32) % 24
     }
 
     /// Start a drive test; schedules position ticks every second.
@@ -449,5 +436,27 @@ mod facade_tests {
         assert_eq!(w.stack.serving, RatSystem::Utran3g);
         // Exactly one carrier session exists for the one phone.
         assert_eq!(w.carrier.active_sessions(), 1);
+    }
+
+    /// The wheel accepts every representable time, and a time in the past
+    /// is clamped to now rather than running the clock backwards.
+    #[test]
+    fn far_future_and_past_schedules_do_not_panic() {
+        let mut w = World::new(WorldConfig::new(op_i(), 1));
+        w.schedule_at(SimTime::from_millis(u64::MAX), Ev::CheckReselection);
+        w.schedule_at(SimTime::from_millis(1 << 62), Ev::CheckReselection);
+        w.schedule_in(0, Ev::PowerOn(RatSystem::Lte4g));
+        w.run_until(SimTime::from_secs(10));
+        let before = w.trace.len();
+        w.schedule_at(SimTime::from_secs(2), Ev::Detach);
+        w.run_until(SimTime::from_secs(20));
+        let traced = &w.trace.entries()[before..];
+        assert!(!traced.is_empty(), "the detach signaled");
+        assert!(
+            traced.iter().all(|e| e.ts >= SimTime::from_secs(10)),
+            "the past detach fired at now"
+        );
+        w.run_until(SimTime::from_millis(1 << 62));
+        assert_eq!(w.now, SimTime::from_millis(1 << 62));
     }
 }

@@ -77,11 +77,6 @@ pub fn s6_detach() -> Signature {
         .step("deregistered", Pattern::registration(false))
 }
 
-/// Every confirmed evidence span of a signature across one long trace —
-/// the post-hoc scanner that the fleet's in-line `keep_spans` banks must
-/// agree with.
-pub use monitor::collect_spans;
-
 /// One S3 episode recovered from the trace: when the CSFB call was
 /// released and when the phone was back on 4G. The difference is the
 /// Table 6 "duration in 3G after the CSFB call ends".
@@ -100,16 +95,11 @@ impl StuckEpisode {
     }
 }
 
-/// Recover all S3 episodes (CSFB call → eventual 4G return) from one UE's
-/// trace via the hand S3 signature's evidence spans.
-pub fn s3_episodes(entries: &[TraceEntry]) -> Vec<StuckEpisode> {
-    episodes_from_spans(&collect_spans(&monitor::compile::s3(), entries))
-}
-
-/// Turn confirmed S3 evidence spans into [`StuckEpisode`]s. The spans may
-/// come from the post-hoc scan ([`collect_spans`]) or from the fleet's
-/// in-line banks (`netsim::LiveCounts::spans`) — both carry the same
-/// matched-step names, so the study reads either source identically.
+/// Turn confirmed S3 evidence spans into [`StuckEpisode`]s: one per CSFB
+/// call → eventual 4G return. The study reads the spans off the fleet's
+/// in-line banks (`netsim::LiveCounts::spans`); the post-hoc scan
+/// (`monitor::collect_spans`) carries the same matched-step names and
+/// serves as the oracle in tests.
 pub fn episodes_from_spans(spans: &[Vec<MatchedEvent>]) -> Vec<StuckEpisode> {
     spans
         .iter()
@@ -149,7 +139,7 @@ pub fn dl_rate_during_call(entries: &[TraceEntry], from: SimTime, to: SimTime) -
 mod tests {
     use super::*;
     use cellstack::{Protocol, RatSystem};
-    use monitor::count_signature;
+    use monitor::{collect_spans, compile};
     use netsim::trace::{TraceCollector, TraceEvent, TraceType};
 
     fn record(t: &mut TraceCollector, at_ms: u64, event: TraceEvent) {
@@ -188,7 +178,7 @@ mod tests {
         cs_call(&mut t, 10_000, true);
         cs_call(&mut t, 100_000, false); // refutes on the release
         cs_call(&mut t, 200_000, true);
-        let n = count_signature(&s5_overlap(), t.entries(), SimTime::from_secs(300));
+        let n = collect_spans(&s5_overlap(), t.entries()).len();
         assert_eq!(n, 2);
     }
 
@@ -206,7 +196,7 @@ mod tests {
                 TraceEvent::CampedOn(RatSystem::Lte4g),
             );
         }
-        let eps = s3_episodes(t.entries());
+        let eps = episodes_from_spans(&collect_spans(&compile::s3(), t.entries()));
         assert_eq!(eps.len(), 2);
         assert_eq!(eps[0].stuck_ms(), 4_000);
         assert_eq!(eps[1].stuck_ms(), 42_000);
@@ -279,7 +269,7 @@ mod tests {
                 system: RatSystem::Lte4g,
             },
         );
-        let n = count_signature(&s6_detach(), t.entries(), SimTime::from_secs(2_000));
+        let n = collect_spans(&s6_detach(), t.entries()).len();
         assert_eq!(n, 2, "one OP-II conflict + one OP-I disruption");
     }
 

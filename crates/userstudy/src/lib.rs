@@ -33,9 +33,7 @@ pub mod rollout;
 pub mod stats;
 pub mod study;
 
-pub use detect::{
-    collect_spans, episodes_from_spans, s3_episodes, s5_overlap, s6_detach, StuckEpisode,
-};
+pub use detect::{episodes_from_spans, s5_overlap, s6_detach, StuckEpisode};
 pub use population::{build_population, spec_for, Carrier, Participant, Persona, STUDY_DAYS};
 pub use rollout::{render_rollout, run_rollout, RolloutArm, RolloutReport};
 pub use stats::{table5, table6};

@@ -28,9 +28,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use monitor::{compile, count_signature, Signature};
+use monitor::{compile, Signature};
 use netsim::rng::rng_from_seed;
-use netsim::{ActivityKind, FleetConfig, FleetSim, LiveConfig, SimTime, UeOutcome};
+use netsim::{ActivityKind, FleetConfig, FleetSim, LiveConfig, UeOutcome};
 
 use crate::detect;
 use crate::population::{build_population, spec_for, Carrier, Participant, STUDY_DAYS};
@@ -143,10 +143,9 @@ pub fn run_study(seed: u64) -> StudyResult {
     let mut live = LiveConfig::new(study_signatures());
     live.keep_spans = true; // S3 episodes are read off the confirmed spans
     cfg.live = Some(live);
-    let end = SimTime::from_millis(u64::from(cfg.days) * 86_400_000 + 900_000);
     let population = &population;
     let (report, partials) = FleetSim::new(cfg).run_fold(Vec::new, |acc, u| {
-        let part = analyze_ue(&population[u.id as usize], &u, end);
+        let part = analyze_ue(&population[u.id as usize], &u);
         acc.push((u.id, part));
     });
     let mut partials: Vec<(u32, StudyResult)> = partials.into_iter().flatten().collect();
@@ -164,20 +163,19 @@ pub fn run_study(seed: u64) -> StudyResult {
 
 /// Post-process collected fleet outcomes with the §7 detectors.
 /// `outcomes[i]` must be participant `population[i]`'s (id-ordered, as
-/// [`FleetSim::run_collect`] returns them, with plans kept). Outcomes
-/// from a live-monitored fleet are read off their verdict tallies;
-/// outcomes without them fall back to the post-hoc trace scan.
-pub fn analyze(population: &[Participant], outcomes: &[UeOutcome], days: u32) -> StudyResult {
+/// [`FleetSim::run_collect`] returns them, with plans kept), from a fleet
+/// that ran the [`study_signatures`] in-line with `keep_spans` set: every
+/// occurrence is read off the per-UE verdict tallies and S3 spans.
+pub fn analyze(population: &[Participant], outcomes: &[UeOutcome]) -> StudyResult {
     assert_eq!(
         population.len(),
         outcomes.len(),
         "one trace stream per participant"
     );
-    let end = SimTime::from_millis(u64::from(days) * 86_400_000 + 900_000);
     let mut r = StudyResult::default();
     for (p, u) in population.iter().zip(outcomes) {
         r.fleet_events += u.events;
-        merge_into(&mut r, analyze_ue(p, u, end));
+        merge_into(&mut r, analyze_ue(p, u));
     }
     r.s2.denominator = r.attaches;
     r
@@ -204,27 +202,18 @@ fn merge_into(r: &mut StudyResult, p: StudyResult) {
     r.s5_affected_kb.extend(p.s5_affected_kb);
 }
 
-/// One signature's occurrence count for a UE: the in-line bank's tally
-/// when the fleet ran with live monitoring ([`study_signatures`] order),
-/// otherwise the post-hoc scan over the retained trace. The two are
-/// equivalent by construction (`LaneBank` replicates `count_signature`'s
-/// restart semantics); the post-hoc arm survives as the analyzer's
-/// fallback for plain `run_collect` outcomes and as the equivalence
-/// oracle in tests.
-fn occurrences(u: &UeOutcome, idx: usize, sig: fn() -> Signature, end: SimTime) -> u32 {
-    match &u.live {
-        Some(l) => l.confirmed[idx],
-        None => count_signature(&sig(), u.trace.entries(), end) as u32,
-    }
-}
-
-/// Run the §7 detectors over one participant's outcome.
-fn analyze_ue(p: &Participant, u: &UeOutcome, end: SimTime) -> StudyResult {
+/// Run the §7 detectors over one participant's outcome: occurrences are
+/// the in-line verdict tallies (indexed in [`study_signatures`] order).
+fn analyze_ue(p: &Participant, u: &UeOutcome) -> StudyResult {
+    let live = u.live.as_ref().expect(
+        "study outcomes carry in-line verdicts: run the fleet with \
+         LiveConfig::new(study_signatures())",
+    );
     let mut r = StudyResult::default();
     {
         // Denominators come from the deterministic activity plan (what
-        // the phone *did*); occurrences come from the trace (what the
-        // network *made of it*).
+        // the phone *did*); occurrences come from the verdicts on its
+        // trace (what the network *made of it*).
         r.attaches += 1; // initial power-on attach
         for a in &u.activities {
             match a.kind {
@@ -257,16 +246,11 @@ fn analyze_ue(p: &Participant, u: &UeOutcome, end: SimTime) -> StudyResult {
             }
         }
 
-        let entries = u.trace.entries();
-        r.s2.events += occurrences(u, SIG_S2, compile::s2, end);
+        r.s2.events += live.confirmed[SIG_S2];
         if p.has_4g {
-            r.s1.events += occurrences(u, SIG_S1, compile::s1, end);
-            r.s6.events += occurrences(u, SIG_S6, detect::s6_detach, end);
-            let episodes = match &u.live {
-                Some(l) => detect::episodes_from_spans(&l.spans[SIG_S3]),
-                None => detect::s3_episodes(entries),
-            };
-            for ep in episodes {
+            r.s1.events += live.confirmed[SIG_S1];
+            r.s6.events += live.confirmed[SIG_S6];
+            for ep in detect::episodes_from_spans(&live.spans[SIG_S3]) {
                 // Attribute the episode to the activity that dialed it:
                 // the latest planned CSFB call at or before the release.
                 let data_on = u
@@ -292,8 +276,9 @@ fn analyze_ue(p: &Participant, u: &UeOutcome, end: SimTime) -> StudyResult {
                 }
             }
         } else {
-            r.s4.events += occurrences(u, SIG_S4, compile::s4, end);
-            r.s5.events += occurrences(u, SIG_S5, detect::s5_overlap, end);
+            r.s4.events += live.confirmed[SIG_S4];
+            r.s5.events += live.confirmed[SIG_S5];
+            let entries = u.trace.entries();
             for a in &u.activities {
                 if let ActivityKind::CsCall {
                     data_on: true,

@@ -3,10 +3,10 @@
 use proptest::prelude::*;
 
 use cellstack::{Protocol, RatSystem};
-use monitor::count_signature;
+use monitor::{collect_spans, compile, count_signature};
 use netsim::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
 use netsim::SimTime;
-use userstudy::{analyze, build_population, s3_episodes, s5_overlap, spec_for};
+use userstudy::{analyze, build_population, episodes_from_spans, s5_overlap, spec_for};
 
 /// Append one synthetic 3G CS call to a trace; returns the next free
 /// timestamp.
@@ -66,7 +66,7 @@ proptest! {
         for &g in &gaps {
             at = push_call(&mut t, at, false, g);
         }
-        let eps = s3_episodes(t.entries());
+        let eps = episodes_from_spans(&collect_spans(&compile::s3(), t.entries()));
         prop_assert_eq!(eps.len(), gaps.len());
         for (ep, g) in eps.iter().zip(&gaps) {
             prop_assert_eq!(ep.stuck_ms(), *g);
@@ -87,8 +87,11 @@ proptest! {
         let specs = population.iter().map(spec_for).collect();
         let mut cfg = netsim::FleetConfig::new(seed, 3, 2, specs); // short horizon keeps the property cheap
         cfg.keep_plan = true;
+        let mut live = netsim::LiveConfig::new(userstudy::study_signatures());
+        live.keep_spans = true;
+        cfg.live = Some(live);
         let (_, ues) = netsim::FleetSim::new(cfg).run_collect();
-        let r = analyze(&population, &ues, 3);
+        let r = analyze(&population, &ues);
         for o in [r.s1, r.s2, r.s3, r.s4, r.s5, r.s6] {
             prop_assert!(o.events <= o.denominator, "{:?}", o);
         }

@@ -4,10 +4,12 @@
 
 use std::sync::OnceLock;
 
+use monitor::{collect_spans, count_signature};
 use netsim::rng::rng_from_seed;
-use netsim::{FleetConfig, FleetSim, LiveConfig};
+use netsim::{FleetConfig, FleetSim, LiveConfig, SimTime};
 use userstudy::{
-    analyze, build_population, run_study, spec_for, study_signatures, StudyResult, STUDY_DAYS,
+    analyze, build_population, episodes_from_spans, run_study, spec_for, study_signatures,
+    Participant, StudyResult, STUDY_DAYS,
 };
 
 fn study() -> &'static StudyResult {
@@ -57,49 +59,56 @@ fn table6_carrier_asymmetry() {
     assert!(med(&r.stuck_op2_ms) > 14_000);
 }
 
-/// The post-hoc trace scan is the equivalence oracle for the in-line
-/// path: one live-monitored fleet run, analyzed twice — once off the
-/// per-UE verdict tallies, once (tallies stripped) off the retained
-/// traces — must produce the identical study result.
-#[test]
-fn inline_verdicts_match_the_posthoc_oracle() {
+/// One live-monitored study fleet at `threads`, as [`run_study`] runs it:
+/// plans kept, the study signatures in-line with their spans kept.
+fn live_fleet(threads: usize) -> (Vec<Participant>, FleetConfig) {
     let mut rng = rng_from_seed(2014);
     let population = build_population(&mut rng);
     let specs = population.iter().map(spec_for).collect();
-    let mut cfg = FleetConfig::new(2014, STUDY_DAYS, 4, specs);
+    let mut cfg = FleetConfig::new(2014, STUDY_DAYS, threads, specs);
     cfg.keep_plan = true;
     let mut live = LiveConfig::new(study_signatures());
     live.keep_spans = true;
     cfg.live = Some(live);
-    let (_, mut ues) = FleetSim::new(cfg).run_collect();
-    assert!(ues.iter().all(|u| u.live.is_some()));
-    let inline = analyze(&population, &ues, STUDY_DAYS);
-    for u in &mut ues {
-        u.live = None; // force the post-hoc scan over the same traces
+    (population, cfg)
+}
+
+/// The post-hoc trace scan is the equivalence oracle for the in-line
+/// path the study reads. On one live-monitored run with unbounded traces,
+/// every UE's confirmed tallies equal `count_signature` over its trace up
+/// to the fleet horizon, and its S3 episodes from the in-line spans equal
+/// those from `collect_spans`. Episodes are compared rather than raw
+/// spans, because tapped spans carry no trace description.
+#[test]
+fn inline_verdicts_match_the_posthoc_oracle() {
+    const SIG_S3: usize = 2; // study_signatures() order: S1 … S6
+    let (_, cfg) = live_fleet(4);
+    let horizon = SimTime::from_millis(u64::from(STUDY_DAYS) * 86_400_000 + 900_000);
+    let (_, ues) = FleetSim::new(cfg).run_collect();
+    let sigs = study_signatures();
+    for u in &ues {
+        let live = u.live.as_ref().expect("live configured");
+        let entries = u.trace.entries();
+        let posthoc: Vec<u32> = sigs
+            .iter()
+            .map(|sig| count_signature(sig, entries, horizon) as u32)
+            .collect();
+        assert_eq!(live.confirmed, posthoc, "ue {}", u.id);
+        assert_eq!(
+            episodes_from_spans(&live.spans[SIG_S3]),
+            episodes_from_spans(&collect_spans(&sigs[SIG_S3], entries)),
+            "ue {}",
+            u.id
+        );
     }
-    let posthoc = analyze(&population, &ues, STUDY_DAYS);
-    assert_eq!(inline.s1, posthoc.s1);
-    assert_eq!(inline.s2, posthoc.s2);
-    assert_eq!(inline.s3, posthoc.s3);
-    assert_eq!(inline.s4, posthoc.s4);
-    assert_eq!(inline.s5, posthoc.s5);
-    assert_eq!(inline.s6, posthoc.s6);
-    assert_eq!(inline.stuck_op1_ms, posthoc.stuck_op1_ms);
-    assert_eq!(inline.stuck_op2_ms, posthoc.stuck_op2_ms);
-    assert_eq!(inline.s5_affected_kb, posthoc.s5_affected_kb);
-    assert_eq!(inline.fleet_events, posthoc.fleet_events);
 }
 
 #[test]
 fn analysis_is_thread_count_independent() {
     let fleet = |threads: usize| {
-        let mut rng = rng_from_seed(2014);
-        let population = build_population(&mut rng);
-        let specs = population.iter().map(spec_for).collect();
-        let mut cfg = FleetConfig::new(2014, STUDY_DAYS, threads, specs);
-        cfg.keep_plan = true;
+        let (population, cfg) = live_fleet(threads);
         let (report, ues) = FleetSim::new(cfg).run_collect();
-        (report.digest(), analyze(&population, &ues, STUDY_DAYS))
+        (report.digest(), analyze(&population, &ues))
     };
     let (da, a) = fleet(1);
     let (db, b) = fleet(8);
