@@ -43,6 +43,57 @@ impl Hasher for Fnv1a {
     }
 }
 
+/// rustc's Fx hasher: each word is folded in with `rotate_left(5) ^ word`
+/// and a multiply, taking 8 bytes at a time, then 4, then single bytes.
+/// Far cheaper than SipHash on short keys and deterministic, but with no
+/// protection against crafted collisions, so it is for keys the program
+/// generates itself (the collapse store's component interners), never for
+/// outside input.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Fx(u64);
+
+const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+impl Fx {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
+    }
+}
+
+impl Hasher for Fx {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let mut rest = words.remainder();
+        if rest.len() >= 4 {
+            let (w, tail) = rest.split_at(4);
+            self.add(u64::from(u32::from_le_bytes(
+                w.try_into().expect("4-byte chunk"),
+            )));
+            rest = tail;
+        }
+        for &b in rest {
+            self.add(u64::from(b));
+        }
+    }
+
+    /// One word, without `write`'s chunking: every byte-slice key hashes
+    /// its length this way before its bytes.
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+}
+
 /// Fingerprint a hashable value deterministically.
 pub fn fingerprint<T: Hash>(value: &T) -> u64 {
     let mut h = Fnv1a::default();
@@ -105,6 +156,25 @@ mod tests {
         // FNV-1a of empty input is the offset basis.
         let h = Fnv1a::default();
         assert_eq!(h.finish(), FNV_OFFSET);
+    }
+
+    #[test]
+    fn fx_folds_words_then_halves_then_bytes() {
+        // 13 bytes = one 8-byte word, one 4-byte word, one single byte.
+        let bytes: Vec<u8> = (1..=13).collect();
+        let mut expect = Fx::default();
+        expect.add(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
+        expect.add(u64::from(u32::from_le_bytes(
+            bytes[8..12].try_into().unwrap(),
+        )));
+        expect.add(13);
+        let mut h = Fx::default();
+        h.write(&bytes);
+        assert_eq!(h.finish(), expect.finish());
+        // One word from the empty state is the word times the seed.
+        let mut one = Fx::default();
+        one.write_usize(3);
+        assert_eq!(one.finish(), 3u64.wrapping_mul(FX_SEED));
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! the same representation the collapse store interns — and are restored
 //! with [`Model::reassemble`]. Spilling therefore requires a componentized
 //! model; for models without a component split the spill setting is ignored
-//! and the frontier stays fully in memory.
+//! and the frontier stays fully in memory. The frontier remembers how many
+//! nodes it wrote to each segment, and a segment that ends early panics
+//! rather than dropping nodes from the search.
 
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::model::Model;
@@ -70,6 +72,7 @@ impl<M: Model> Frontier<M> {
             segments_written: 0,
             spilled_nodes: 0,
             spilled_bytes: 0,
+            comps: Vec::new(),
             buf: Vec::new(),
         })
     }
@@ -105,17 +108,20 @@ impl<M: Model> Frontier<M> {
 }
 
 /// The spilling variant: `head` is being consumed, `tail` is being filled,
-/// and `segs` are full segments parked on disk between them.
+/// and `segs` are full segments parked on disk between them, each with the
+/// number of nodes written to it.
 pub(crate) struct SpillFrontier<M: Model> {
     head: VecDeque<QItem<M>>,
     tail: Vec<QItem<M>>,
-    segs: VecDeque<PathBuf>,
+    segs: VecDeque<(PathBuf, usize)>,
     segment: usize,
     dir: PathBuf,
     len: usize,
     segments_written: u64,
     spilled_nodes: u64,
     spilled_bytes: u64,
+    /// Component buffers, reused for every node written or read.
+    comps: Vec<Vec<u8>>,
     buf: Vec<u8>,
 }
 
@@ -136,8 +142,8 @@ impl<M: Model> SpillFrontier<M> {
 
     fn pop(&mut self, model: &M) -> Option<QItem<M>> {
         if self.head.is_empty() {
-            if let Some(path) = self.segs.pop_front() {
-                self.head = self.read_segment(model, &path);
+            if let Some((path, nodes)) = self.segs.pop_front() {
+                self.head = self.read_segment(model, &path, nodes);
             } else if !self.tail.is_empty() {
                 self.head.extend(self.tail.drain(..));
             }
@@ -157,54 +163,56 @@ impl<M: Model> SpillFrontier<M> {
         ));
         let file = File::create(&path).expect("frontier spill: create segment file");
         let mut w = BufWriter::new(file);
-        let mut comps: Vec<Vec<u8>> = Vec::new();
         let mut written = 0u64;
+        let nodes = self.tail.len();
         for item in self.tail.drain(..) {
             assert!(
-                model.components(&item.state, &mut comps),
+                model.components(&item.state, &mut self.comps),
                 "spilling frontier requires a componentized model"
             );
-            pack_components(&comps, &mut self.buf);
+            pack_components(&self.comps, &mut self.buf);
             w.write_all(&item.depth.to_le_bytes()).expect("frontier spill: write");
             w.write_all(&item.ebits.to_le_bytes()).expect("frontier spill: write");
             w.write_all(&item.node.to_le_bytes()).expect("frontier spill: write");
-            w.write_all(&(comps.len() as u16).to_le_bytes()).expect("frontier spill: write");
+            w.write_all(&(self.comps.len() as u16).to_le_bytes())
+                .expect("frontier spill: write");
             w.write_all(&self.buf).expect("frontier spill: write");
             written += 14 + self.buf.len() as u64;
-            self.spilled_nodes += 1;
         }
         w.flush().expect("frontier spill: flush");
+        self.spilled_nodes += nodes as u64;
         self.spilled_bytes += written;
         self.segments_written += 1;
-        self.segs.push_back(path);
+        self.segs.push_back((path, nodes));
     }
 
-    fn read_segment(&mut self, model: &M, path: &PathBuf) -> VecDeque<QItem<M>> {
+    /// Read back the `nodes` nodes written to the segment at `path`, then
+    /// delete it.
+    fn read_segment(&mut self, model: &M, path: &Path, nodes: usize) -> VecDeque<QItem<M>> {
         let file = File::open(path).expect("frontier spill: open segment file");
         let mut r = BufReader::new(file);
-        let mut out = VecDeque::with_capacity(self.segment);
-        let mut comps: Vec<Vec<u8>> = Vec::new();
-        loop {
+        let mut out = VecDeque::with_capacity(nodes);
+        for read in 0..nodes {
             let mut hdr = [0u8; 14];
-            match r.read_exact(&mut hdr) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                Err(e) => panic!("frontier spill: read segment header: {e}"),
+            if let Err(e) = r.read_exact(&mut hdr) {
+                panic!(
+                    "frontier spill: segment {} ended after {read} of {nodes} nodes: {e}",
+                    path.display()
+                );
             }
             let depth = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
             let ebits = u32::from_le_bytes(hdr[4..8].try_into().unwrap());
             let node = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
             let ncomps = u16::from_le_bytes(hdr[12..14].try_into().unwrap()) as usize;
-            comps.clear();
-            for _ in 0..ncomps {
+            self.comps.resize_with(ncomps, Vec::new);
+            for comp in &mut self.comps {
                 let mut lenb = [0u8; 4];
                 r.read_exact(&mut lenb).expect("frontier spill: read component length");
-                let mut comp = vec![0u8; u32::from_le_bytes(lenb) as usize];
-                r.read_exact(&mut comp).expect("frontier spill: read component");
-                comps.push(comp);
+                comp.resize(u32::from_le_bytes(lenb) as usize, 0);
+                r.read_exact(comp).expect("frontier spill: read component");
             }
             let state = model
-                .reassemble(&comps)
+                .reassemble(&self.comps)
                 .expect("frontier spill: reassemble state from its own components");
             out.push_back(QItem { state, ebits, node, depth });
         }
@@ -215,8 +223,67 @@ impl<M: Model> SpillFrontier<M> {
 
 impl<M: Model> Drop for SpillFrontier<M> {
     fn drop(&mut self) {
-        for path in self.segs.drain(..) {
+        for (path, _) in self.segs.drain(..) {
             let _ = std::fs::remove_file(&path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::checker::testmodels::Grid;
+
+    /// Removes the test's spill directory, also while a panic unwinds.
+    struct TempDir(PathBuf);
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ended after 3 of 4 nodes")]
+    fn a_truncated_segment_panics_instead_of_losing_nodes() {
+        let dir = TempDir(std::env::temp_dir().join(format!(
+            "mck-short-segment-{}-{}",
+            std::process::id(),
+            SEG_SEQ.fetch_add(1, Ordering::Relaxed)
+        )));
+        std::fs::create_dir_all(&dir.0).expect("create the spill directory");
+        let model = Grid {
+            side: 5,
+            forbid: None,
+            watch_y: None,
+        };
+        let mut frontier: Frontier<Grid> = Frontier::spilling(4, dir.0.clone());
+        for i in 0..20u8 {
+            let item = QItem {
+                state: (i % 5, i / 5),
+                ebits: 0,
+                node: u32::MAX,
+                depth: 0,
+            };
+            frontier.push(&model, item);
+        }
+        let Frontier::Spill(s) = &frontier else {
+            unreachable!("spilling frontier")
+        };
+        assert_eq!(
+            s.segs.len(),
+            4,
+            "the head holds 4 nodes, 4 segments hold 16"
+        );
+        // Cut the first segment by one 24-byte record (14-byte header plus
+        // two 1-byte components with their 4-byte lengths).
+        let first = &s.segs[0].0;
+        let len = std::fs::metadata(first).expect("segment exists").len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(first)
+            .expect("open segment");
+        file.set_len(len - 24).expect("truncate segment");
+        while frontier.pop(&model).is_some() {}
     }
 }

@@ -73,7 +73,11 @@ pub trait Model {
     /// same number of components in the same order, and
     /// [`Model::reassemble`] must invert it exactly.
     ///
-    /// `out` may carry previous contents; implementations must clear it.
+    /// `out` may hold a previous call's components, and an implementation
+    /// overwrites it in place: it resizes `out` to its arity, then clears
+    /// and refills each buffer, so the engines allocate nothing per state
+    /// once the buffers have grown. (Clearing `out` and pushing fresh
+    /// vectors also meets this contract, at one allocation per component.)
     /// The default (`false`) keeps the engines on fingerprint-only storage.
     fn components(&self, _state: &Self::State, _out: &mut Vec<Vec<u8>>) -> bool {
         false

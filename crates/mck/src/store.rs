@@ -35,8 +35,9 @@
 //! [`StoreStats::mode`] — a run never silently pretends to be exact.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 
-use crate::fingerprint::{fingerprint, fingerprint_with_ebits};
+use crate::fingerprint::{fingerprint, fingerprint_with_ebits, Fx};
 use crate::model::Model;
 use crate::stats::{StoreKind, StoreStats};
 
@@ -92,10 +93,12 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 // Collapse: per-slot component interners + a flat tuple arena.
 // ---------------------------------------------------------------------------
 
-/// Interner for one component slot: component bytes → dense id.
+/// Interner for one component slot: component bytes → dense id, assigned
+/// in first-seen order. The keys are component encodings the model
+/// generates, so the map hashes with [`Fx`] rather than SipHash.
 #[derive(Debug, Default)]
 struct Interner {
-    ids: HashMap<Box<[u8]>, u32>,
+    ids: HashMap<Box<[u8]>, u32, BuildHasherDefault<Fx>>,
     /// id → bytes, for [`CollapseSet::reconstruct`].
     items: Vec<Box<[u8]>>,
     bytes: u64,
@@ -138,6 +141,9 @@ pub struct CollapseSet {
     /// Open-addressed hash index of entry ordinals.
     index: Vec<u32>,
     len: u64,
+    /// The component ids of the tuple being inserted or looked up.
+    ids: Vec<u32>,
+    /// Its encoded entry.
     scratch: Vec<u8>,
 }
 
@@ -151,6 +157,7 @@ impl CollapseSet {
             arena: Vec::new(),
             index: vec![EMPTY; 1024],
             len: 0,
+            ids: Vec::with_capacity(slots),
             scratch: Vec::new(),
         }
     }
@@ -185,12 +192,14 @@ impl CollapseSet {
         self.arena.capacity() as u64 + self.index.capacity() as u64 * 4 + interner_bytes
     }
 
-    fn encode(width: usize, ids: &[u32], ebits: u32, out: &mut Vec<u8>) {
-        out.clear();
-        for &id in ids {
-            out.extend_from_slice(&id.to_le_bytes()[..width]);
+    /// Encode `self.ids` and `ebits` into `self.scratch` at the current width.
+    fn encode(&mut self, ebits: u32) {
+        self.scratch.clear();
+        for &id in &self.ids {
+            self.scratch
+                .extend_from_slice(&id.to_le_bytes()[..self.width]);
         }
-        out.extend_from_slice(&ebits.to_le_bytes());
+        self.scratch.extend_from_slice(&ebits.to_le_bytes());
     }
 
     fn entry(&self, ordinal: u32) -> &[u8] {
@@ -245,86 +254,65 @@ impl CollapseSet {
     }
 
     /// Intern `comps` and insert the `(tuple, ebits)` entry. Returns `true`
-    /// when the entry is new. The component split must have the arity the
-    /// set was created with.
+    /// when the entry is new.
+    ///
+    /// # Panics
+    ///
+    /// When `comps` does not have the arity the set was created with: the
+    /// fixed-width arena would otherwise store a misaligned entry.
     pub fn insert(&mut self, comps: &[Vec<u8>], ebits: u32) -> bool {
-        debug_assert_eq!(comps.len(), self.slots.len(), "component arity is fixed");
-        let mut ids = [0u32; 64];
-        let mut ids_vec;
-        let ids: &mut [u32] = if comps.len() <= 64 {
-            &mut ids[..comps.len()]
-        } else {
-            ids_vec = vec![0u32; comps.len()];
-            &mut ids_vec
-        };
+        assert_eq!(comps.len(), self.slots.len(), "component arity is fixed");
+        self.ids.clear();
         let mut max_id = 0u32;
-        for (s, comp) in comps.iter().enumerate() {
-            let id = self.slots[s].intern(comp);
-            ids[s] = id;
+        for (slot, comp) in self.slots.iter_mut().zip(comps) {
+            let id = slot.intern(comp);
+            self.ids.push(id);
             max_id = max_id.max(id);
         }
         while self.width < 4 && u64::from(max_id) >= 1u64 << (8 * self.width) {
             let next = self.width * 2;
             self.grow_width(next);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::encode(self.width, ids, ebits, &mut scratch);
-        let new = self.insert_encoded(&scratch);
-        self.scratch = scratch;
-        new
+        self.encode(ebits);
+        let Err(i) = self.probe() else {
+            return false;
+        };
+        self.arena.extend_from_slice(&self.scratch);
+        self.index[i] = self.len as u32;
+        self.len += 1;
+        self.maybe_grow_index();
+        true
     }
 
     /// Membership query without inserting (used by the POR cycle proviso).
+    /// Panics on a wrong arity, like [`CollapseSet::insert`].
     pub fn contains(&mut self, comps: &[Vec<u8>], ebits: u32) -> bool {
-        let mut ids = Vec::with_capacity(comps.len());
-        for (s, comp) in comps.iter().enumerate() {
-            match self.slots[s].ids.get(comp.as_slice()) {
-                Some(&id) => ids.push(id),
+        assert_eq!(comps.len(), self.slots.len(), "component arity is fixed");
+        self.ids.clear();
+        for (slot, comp) in self.slots.iter().zip(comps) {
+            match slot.ids.get(comp.as_slice()) {
+                Some(&id) => self.ids.push(id),
                 // An unseen component means an unseen state.
                 None => return false,
             }
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        Self::encode(self.width, &ids, ebits, &mut scratch);
-        let found = self.find(&scratch).is_some();
-        self.scratch = scratch;
-        found
+        self.encode(ebits);
+        self.probe().is_ok()
     }
 
-    fn find(&self, entry: &[u8]) -> Option<u32> {
+    /// Look up the encoded entry in `self.scratch`: its ordinal when stored,
+    /// else the empty index slot where it belongs.
+    fn probe(&self) -> Result<u32, usize> {
+        let entry = self.scratch.as_slice();
         let mask = self.index.len() - 1;
         let mut i = (fingerprint(&entry) as usize) & mask;
         loop {
-            let ord = self.index[i];
-            if ord == EMPTY {
-                return None;
+            match self.index[i] {
+                EMPTY => return Err(i),
+                ord if self.entry(ord) == entry => return Ok(ord),
+                _ => i = (i + 1) & mask,
             }
-            if self.entry(ord) == entry {
-                return Some(ord);
-            }
-            i = (i + 1) & mask;
         }
-    }
-
-    fn insert_encoded(&mut self, entry: &[u8]) -> bool {
-        let mask = self.index.len() - 1;
-        let mut i = (fingerprint(&entry) as usize) & mask;
-        loop {
-            let ord = self.index[i];
-            if ord == EMPTY {
-                break;
-            }
-            if self.entry(ord) == entry {
-                return false;
-            }
-            i = (i + 1) & mask;
-        }
-        let ordinal = self.len as u32;
-        self.arena.extend_from_slice(entry);
-        self.index[i] = ordinal;
-        self.len += 1;
-        self.maybe_grow_index();
-        true
     }
 
     /// Decode entry `ordinal` back into its component byte vectors and
@@ -520,7 +508,6 @@ impl SeqStore {
         let componentized =
             probe.map(|s| model.components(s, &mut comps)).unwrap_or(false);
         let arity = comps.len();
-        comps.clear();
         let (inner, mode_label) = match mode {
             StoreMode::HashCompact => (SeqStoreInner::HashCompact(HashSet::new()), "hash-compact"),
             StoreMode::Exact if componentized => (
@@ -646,6 +633,13 @@ mod tests {
         assert!(!set.insert(&a, 0));
         assert!(set.insert(&a, 1), "different ebits is a different node");
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "component arity is fixed")]
+    fn collapse_insert_rejects_a_wrong_arity() {
+        let mut set = CollapseSet::new(2);
+        set.insert(&[vec![1, 2, 3, 4, 5]], 0);
     }
 
     #[test]

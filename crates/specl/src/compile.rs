@@ -1072,34 +1072,35 @@ impl Model for SpecModel {
     /// channel (budget, overflow, queue), plus one trailing component of
     /// timer cells when the spec declares any.
     fn components(&self, s: &SpecState, out: &mut Vec<Vec<u8>>) -> bool {
-        out.clear();
         let prog = &*self.program;
-        let n_globals = prog.global_count();
-        let mut g = Vec::with_capacity(n_globals * 8);
-        for slot in 0..n_globals {
+        let timer_comps = usize::from(!prog.timers.is_empty());
+        out.resize_with(1 + prog.procs.len() + s.chans.len() + timer_comps, Vec::new);
+        let (g, rest) = out.split_first_mut().expect("the globals component");
+        g.clear();
+        for slot in 0..prog.global_count() {
             g.extend_from_slice(&s.vars[slot].to_le_bytes());
         }
-        out.push(g);
-        for (pi, p) in prog.procs.iter().enumerate() {
-            let mut c = Vec::with_capacity(2 + p.local_slots.len() * 8);
+        let (procs, rest) = rest.split_at_mut(prog.procs.len());
+        for ((pi, p), c) in prog.procs.iter().enumerate().zip(procs) {
+            c.clear();
             c.extend_from_slice(&s.locs[pi].to_le_bytes());
             for slot in p.local_slots.clone() {
                 c.extend_from_slice(&s.vars[slot].to_le_bytes());
             }
-            out.push(c);
         }
-        for cs in &s.chans {
-            let mut c = Vec::with_capacity(7 + cs.queue.len() * 2);
+        let (chans, timers) = rest.split_at_mut(s.chans.len());
+        for (cs, c) in s.chans.iter().zip(chans) {
+            c.clear();
             c.push(cs.dup_left);
             c.extend_from_slice(&cs.overflow.to_le_bytes());
             c.extend_from_slice(&(cs.queue.len() as u16).to_le_bytes());
             for &m in &cs.queue {
                 c.extend_from_slice(&m.to_le_bytes());
             }
-            out.push(c);
         }
-        if !prog.timers.is_empty() {
-            out.push(s.timers.clone());
+        if let Some(t) = timers.first_mut() {
+            t.clear();
+            t.extend_from_slice(&s.timers);
         }
         true
     }
@@ -1456,6 +1457,13 @@ never RallyDone: p @ Done;
         assert!(txt.contains("down=[]"), "{txt}");
     }
 
+    /// Buffers as a previous call may leave them: two more than `comps`
+    /// holds, each longer than any of its components and full of garbage.
+    fn dirty_like(comps: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let longest = comps.iter().map(Vec::len).max().unwrap_or(0);
+        vec![vec![0xEE; longest + 8]; comps.len() + 2]
+    }
+
     #[test]
     fn components_roundtrip_every_reachable_state() {
         let model = compile(PINGPONG).unwrap();
@@ -1468,6 +1476,9 @@ never RallyDone: p @ Done;
             assert_eq!(comps.len(), 1 + 2 + 2, "globals + 2 procs + 2 chans");
             let back = model.reassemble(&comps).expect("well-formed components");
             assert_eq!(&back, s, "intern→reconstruct must be the identity");
+            let mut dirty = dirty_like(&comps);
+            assert!(model.components(s, &mut dirty));
+            assert_eq!(dirty, comps, "a dirty `out` is overwritten in place");
         }
     }
 
@@ -1697,6 +1708,9 @@ never LongBeatsShort: fired_long && !fired_short;
             assert_eq!(comps.len(), 3, "globals slab + 1 proc slab + timers slab");
             let back = model.reassemble(&comps).expect("well-formed components");
             assert_eq!(&back, s);
+            let mut dirty = dirty_like(&comps);
+            assert!(model.components(s, &mut dirty));
+            assert_eq!(dirty, comps, "a dirty `out` is overwritten in place");
         }
         let s = model.init_states().remove(0);
         comps.clear();
