@@ -12,6 +12,15 @@
 use cellstack::UpdateKind;
 use cnv_bench as bench;
 
+/// The command line's shape, printed with every usage error.
+const USAGE: &str = "usage: repro [--exp NAME] [--seed N] [--trace unbounded|count-only|CAP]";
+
+/// Reject the command line: name what is wrong, print the usage line, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut exp = "all".to_string();
@@ -21,42 +30,37 @@ fn main() {
     let mut trace: Option<usize> = Some(0);
     let mut i = 1;
     while i < args.len() {
-        match args[i].as_str() {
-            "--exp" => {
-                exp = args.get(i + 1).cloned().unwrap_or_else(|| "all".into());
-                i += 2;
-            }
+        let flag = args[i].as_str();
+        let value = || {
+            args.get(i + 1)
+                .map(String::as_str)
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match flag {
+            "--exp" => exp = value().to_string(),
             "--seed" => {
-                seed = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or(2014);
-                i += 2;
+                let v = value();
+                seed = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("--seed takes a number, not `{v}`")));
             }
             "--trace" => {
-                trace = match args.get(i + 1).map(String::as_str) {
-                    Some("unbounded") => None,
-                    Some("count-only") | None => Some(0),
-                    Some(n) => match n.parse() {
-                        Ok(cap) => Some(cap),
-                        Err(_) => {
-                            eprintln!("--trace takes unbounded, count-only, or a ring size");
-                            std::process::exit(2);
-                        }
-                    },
+                trace = match value() {
+                    "unbounded" => None,
+                    "count-only" => Some(0),
+                    n => Some(n.parse().unwrap_or_else(|_| {
+                        usage_error("--trace takes unbounded, count-only, or a ring size")
+                    })),
                 };
-                i += 2;
             }
             "--help" | "-h" => {
-                println!("usage: repro [--exp NAME] [--seed N] [--trace unbounded|count-only|CAP]\n");
+                println!("{USAGE}\n");
                 print_experiments();
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
+        i += 2;
     }
 
     let run = |name: &str| exp == "all" || exp == name;
@@ -259,7 +263,7 @@ fn section(title: &str) {
 
 fn screening() {
     section("Screening phase (S1-S4 via model checking, paper Section 3.2/4)");
-    let report = cnetverifier::run_screening();
+    let report = cnetverifier::run_screening_deterministic();
     for run in &report.runs {
         println!(
             "model {:<34} {} ({:.0} states/s)",
@@ -1117,7 +1121,7 @@ fn live(seed: u64, trace: Option<usize>) {
 /// against `crates/bench/golden/remedy_matrix.txt`.
 fn remedies_exp(seed: u64) {
     section("Differential remedy matrix — base vs remedied screening (Section 8)");
-    let rows = cnetverifier::diff_matrix(Some(mck::SearchStrategy::ParallelBfs { workers: 2 }));
+    let rows = cnetverifier::diff_matrix();
     print!("{}", cnetverifier::render_matrix(&rows));
 
     section("Spec-level remedy overlays — specs/remedies/ merged onto base specs");

@@ -136,12 +136,6 @@ impl EmmDevice {
         }
     }
 
-    /// Enable the §5.1.3 phone quirk.
-    pub fn with_quirk(mut self) -> Self {
-        self.quirk_tau_before_detach = true;
-        self
-    }
-
     /// Enable the §8 cross-system remedy.
     pub fn with_remedy(mut self) -> Self {
         self.remedy_reactivate_bearer = true;

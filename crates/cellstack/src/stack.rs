@@ -136,12 +136,6 @@ impl DeviceStack {
         self
     }
 
-    /// Enable the §5.1.3 phone quirk on EMM.
-    pub fn with_quirk(mut self) -> Self {
-        self.emm.quirk_tau_before_detach = true;
-        self
-    }
-
     /// Model the 3GPP NAS retransmission timers on every layer that has
     /// them (EMM's T3410/T3411/T3402/T3430, ESM's T3417). The environment
     /// answers [`StackEvent::ArmNasTimer`] by scheduling a

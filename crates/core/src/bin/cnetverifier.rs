@@ -12,16 +12,47 @@ use cnetverifier::scenario::UsageModel;
 use cnetverifier::{props, validate_all};
 use mck::RandomWalk;
 
+const USAGE: &str = "usage: cnetverifier <screen [--remedied] [--json] | \
+                     validate [--seed N] [--json] | diagnose [--seed N] [--json] | \
+                     sample [--walks N] [--seed N] | report>";
+
+/// Reject the command line: name what is wrong, print the usage line, exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("help");
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| -> Option<u64> {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
+    let cmd = args
+        .first()
+        .map(String::as_str)
+        .unwrap_or_else(|| usage_error("missing command"));
+    // The switches and numeric options each command accepts.
+    let (switches, numeric): (&[&str], &[&str]) = match cmd {
+        "screen" => (&["--remedied", "--json"], &[]),
+        "validate" | "diagnose" => (&["--json"], &["--seed"]),
+        "sample" => (&[], &["--walks", "--seed"]),
+        "report" => (&[], &[]),
+        other => usage_error(&format!("unknown command: {other}")),
     };
+    let mut values: Vec<(&str, u64)> = Vec::new();
+    let mut rest = args[1..].iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if numeric.contains(&arg) {
+            let v = rest
+                .next()
+                .unwrap_or_else(|| usage_error(&format!("{arg} needs a value")));
+            let n = v
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("{arg} takes a number, not `{v}`")));
+            values.push((arg, n));
+        } else if !switches.contains(&arg) {
+            usage_error(&format!("unknown argument: {arg}"));
+        }
+    }
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let value = |name: &str| values.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
 
     match cmd {
         "screen" => screen(flag("--remedied"), flag("--json")),
@@ -31,15 +62,7 @@ fn main() {
             value("--walks").unwrap_or(2_000) as usize,
             value("--seed").unwrap_or(0xCE11),
         ),
-        "report" => report(),
-        _ => {
-            eprintln!(
-                "usage: cnetverifier <screen [--remedied] [--json] | \
-                 validate [--seed N] [--json] | diagnose [--seed N] [--json] | \
-                 sample [--walks N] [--seed N] | report>"
-            );
-            std::process::exit(2);
-        }
+        _ => report(),
     }
 }
 
@@ -47,7 +70,7 @@ fn screen(remedied: bool, json: bool) {
     let report = if remedied {
         cnetverifier::run_screening_remedied()
     } else {
-        cnetverifier::run_screening()
+        cnetverifier::run_screening_deterministic()
     };
     if json {
         let findings: Vec<_> = report.findings().collect();

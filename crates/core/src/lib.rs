@@ -33,7 +33,7 @@
 //! ```
 //! use cnetverifier::{screening, findings::Instance};
 //!
-//! let report = screening::run_screening();
+//! let report = screening::run_screening_deterministic();
 //! // The four design defects the paper reports:
 //! for inst in [Instance::S1, Instance::S2, Instance::S3, Instance::S4] {
 //!     let finding = report.finding(inst).expect("found by screening");
@@ -62,11 +62,10 @@ pub use remedydiff::{
     render_overlay_agreement, DiffRow, FaultCampaign, OverlayCheck, PropDiff,
 };
 pub use screening::{
-    fiveg_corpus_check, load_specs, run_screening, run_screening_budgeted,
-    run_screening_deterministic, run_screening_remedied, run_screening_with_retries,
-    run_spec_screening, spec_agreement, sweep_timer_scales, CorpusCheck, LatticeDiagnosis,
-    LatticePoint, LoadedSpec, ModelRun, ScreenBudget, ScreeningReport, SpecAgreement,
-    TimingLattice,
+    fiveg_corpus_check, load_specs, run_screening_deterministic, run_screening_remedied,
+    run_screening_with_retries, run_spec_screening, spec_agreement, sweep_timer_scales,
+    CorpusCheck, LatticeDiagnosis, LatticePoint, LoadedSpec, ModelRun, ScreenBudget,
+    ScreeningReport, SpecAgreement, TimingLattice,
 };
 pub use validation::{
     diagnose, diagnose_against, validate_all, validate_instance, DefectClass, Diagnosis,

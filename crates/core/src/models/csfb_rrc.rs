@@ -68,14 +68,6 @@ impl CsfbRrcModel {
             csfb_tag_remedy: false,
         }
     }
-
-    /// OP-II with the §8 CSFB-tag remedy.
-    pub fn op2_remedied() -> Self {
-        Self {
-            csfb_tag_remedy: true,
-            ..Self::op2_high_rate()
-        }
-    }
 }
 
 /// Global state.
@@ -252,6 +244,7 @@ pub const RETURN_TARGET: RatSystem = RatSystem::Lte4g;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remedydiff::registry_remedy;
     use mck::{Checker, SearchStrategy};
 
     #[test]
@@ -298,9 +291,8 @@ mod tests {
 
     #[test]
     fn csfb_tag_remedy_restores_mm_ok() {
-        let result = Checker::new(CsfbRrcModel::op2_remedied())
-            .strategy(SearchStrategy::Dfs)
-            .run();
+        let remedied = registry_remedy("csfb_tag").apply(&CsfbRrcModel::op2_high_rate());
+        let result = Checker::new(remedied).strategy(SearchStrategy::Dfs).run();
         assert!(
             result.complete && result.violation(props::MM_OK).is_none(),
             "{:?}",

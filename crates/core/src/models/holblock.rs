@@ -32,11 +32,6 @@ impl HolBlockModel {
     pub fn paper() -> Self {
         Self { remedy: false }
     }
-
-    /// The §8-remedied configuration.
-    pub fn remedied() -> Self {
-        Self { remedy: true }
-    }
 }
 
 /// Global state.
@@ -185,6 +180,7 @@ impl Model for HolBlockModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remedydiff::registry_remedy;
     use mck::{Checker, SearchStrategy};
 
     #[test]
@@ -204,9 +200,8 @@ mod tests {
 
     #[test]
     fn remedy_restores_call_service_ok() {
-        let result = Checker::new(HolBlockModel::remedied())
-            .strategy(SearchStrategy::Bfs)
-            .run();
+        let remedied = registry_remedy("parallel_mm").apply(&HolBlockModel::paper());
+        let result = Checker::new(remedied).strategy(SearchStrategy::Bfs).run();
         assert!(result.holds(), "{:?}", result.violations);
     }
 

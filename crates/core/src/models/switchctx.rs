@@ -38,14 +38,6 @@ impl SwitchContextModel {
             deact_budget: 1,
         }
     }
-
-    /// The §8-remedied configuration.
-    pub fn remedied() -> Self {
-        Self {
-            remedy: true,
-            ..Self::paper()
-        }
-    }
 }
 
 /// Global state.
@@ -193,6 +185,7 @@ fn _unused(_: StackEvent) {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::remedydiff::registry_remedy;
     use mck::{Checker, SearchStrategy};
 
     #[test]
@@ -235,9 +228,8 @@ mod tests {
     fn remedy_restores_packet_service_ok_for_avoidable_causes() {
         // With the §8 remedy the device reactivates a bearer instead of
         // detaching: the property holds over the whole space.
-        let result = Checker::new(SwitchContextModel::remedied())
-            .strategy(SearchStrategy::Bfs)
-            .run();
+        let remedied = registry_remedy("bearer_reactivation").apply(&SwitchContextModel::paper());
+        let result = Checker::new(remedied).strategy(SearchStrategy::Bfs).run();
         assert!(
             result.holds(),
             "remedied model must satisfy PacketService_OK: {:?}",

@@ -20,10 +20,9 @@
 //! plus the state-space diff: unique-state counts and BFS/DFS witness
 //! lengths on both sides. All printed numbers come from the canonical
 //! sequential engines (BFS; DFS where the witness is a lasso), so the
-//! matrix is byte-identical across hosts; a differently-threaded engine
-//! passed as `cross_engine` re-screens each side and must agree on the
-//! violated-property set (lasso scenarios are excluded — only DFS
-//! detects cycles).
+//! matrix is byte-identical across hosts. The parallel engine re-screens
+//! each side of every BFS cell and must agree on the violated-property
+//! set (lasso scenarios are excluded — only DFS detects cycles).
 //!
 //! The same overlays exist at the spec level: where a registry entry
 //! carries a `.specl` module overlay, [`overlay_agreement`] merges it
@@ -43,6 +42,7 @@ use crate::models::csfb_rrc::CsfbRrcModel;
 use crate::models::holblock::HolBlockModel;
 use crate::models::switchctx::SwitchContextModel;
 use crate::props;
+use crate::screening::{strategy_name, CROSS_CHECK};
 
 /// A named perturbation applied to the *base* model before the remedy:
 /// the screening-side analogue of the fleet's fault campaigns. Campaign
@@ -141,45 +141,45 @@ impl DiffRow {
 
 /// Exhaustive profile of one model: unique states plus every recorded
 /// violation as (property, witness length).
-struct Profile {
-    states: u64,
-    violations: Vec<(String, usize)>,
+pub(crate) struct Profile {
+    pub(crate) states: u64,
+    violations: Vec<(&'static str, usize)>,
 }
 
-fn profile<M>(model: &M, strategy: SearchStrategy) -> Profile
+impl Profile {
+    /// `property`'s counterexample length, or `None` when it holds.
+    pub(crate) fn witness(&self, property: &str) -> Option<usize> {
+        self.violations
+            .iter()
+            .find(|(p, _)| *p == property)
+            .map(|&(_, len)| len)
+    }
+
+    /// The violated properties, sorted.
+    fn violated(&self) -> Vec<&'static str> {
+        let mut v: Vec<_> = self.violations.iter().map(|&(p, _)| p).collect();
+        v.sort_unstable();
+        v
+    }
+}
+
+/// Run `model` to exhaustion under `strategy` and read back its profile.
+pub(crate) fn profile<M>(model: &M, strategy: SearchStrategy) -> Profile
 where
     M: Model + Sync + Clone,
     M::State: Send + Sync,
     M::Action: Send + Sync,
 {
     let result = Checker::new(model.clone()).strategy(strategy).run();
-    assert!(result.complete, "differential profiles must be exhaustive");
+    assert!(result.complete, "profiles must be exhaustive");
     Profile {
         states: result.stats.unique_states,
         violations: result
             .violations
             .iter()
-            .map(|v| (v.property.to_string(), v.path.len()))
+            .map(|v| (v.property, v.path.len()))
             .collect(),
     }
-}
-
-/// The violated-property set found by `strategy`, for engine cross-checks.
-fn violated_set<M>(model: &M, strategy: SearchStrategy) -> Vec<String>
-where
-    M: Model + Sync + Clone,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-{
-    let result = Checker::new(model.clone()).strategy(strategy).run();
-    assert!(result.complete, "cross-check runs must be exhaustive");
-    let mut v: Vec<String> = result
-        .violations
-        .iter()
-        .map(|x| x.property.to_string())
-        .collect();
-    v.sort();
-    v
 }
 
 fn apply_edits<T: Overlayable>(what: &str, base: &T, edits: &[OverlayEdit]) -> T {
@@ -200,7 +200,8 @@ fn chan_semantics(spec: &ChannelSpec) -> ChanSemantics {
 }
 
 /// Screen one scenario differentially: every campaign × every remedy.
-#[allow(clippy::too_many_arguments)]
+/// BFS cells are re-screened with [`CROSS_CHECK`], which must find the
+/// same violated-property sets.
 fn diff_scenario<M>(
     scenario: &'static str,
     model_name: &'static str,
@@ -208,59 +209,40 @@ fn diff_scenario<M>(
     campaigns: &[FaultCampaign],
     remedies_list: &[RemedyOverlay],
     canonical: SearchStrategy,
-    canonical_name: &'static str,
-    cross_engine: Option<SearchStrategy>,
     out: &mut Vec<DiffRow>,
 ) where
     M: Model + Overlayable + Sync,
     M::State: Send + Sync,
     M::Action: Send + Sync,
 {
+    let checked = |model: &M, cell: &str| {
+        let p = profile(model, canonical);
+        if canonical == SearchStrategy::Bfs {
+            assert_eq!(
+                profile(model, CROSS_CHECK).violated(),
+                p.violated(),
+                "{scenario}/{cell}: engines disagree on the violated set"
+            );
+        }
+        p
+    };
     let prop_names: Vec<&'static str> = base.properties().iter().map(|p| p.name).collect();
     for campaign in campaigns {
         let campaigned = apply_edits(campaign.name, base, &campaign.edits);
-        let base_profile = profile(&campaigned, canonical);
-        if let Some(engine) = cross_engine {
-            assert_eq!(
-                violated_set(&campaigned, engine),
-                {
-                    let mut v: Vec<String> =
-                        base_profile.violations.iter().map(|x| x.0.clone()).collect();
-                    v.sort();
-                    v
-                },
-                "{scenario}/{}: engines disagree on the base violated set",
-                campaign.name
-            );
-        }
+        let base_profile = checked(&campaigned, campaign.name);
         for remedy in remedies_list {
             let remedied = remedy.apply(&campaigned);
-            let rem_profile = profile(&remedied, canonical);
-            if let Some(engine) = cross_engine {
-                assert_eq!(
-                    violated_set(&remedied, engine),
-                    {
-                        let mut v: Vec<String> =
-                            rem_profile.violations.iter().map(|x| x.0.clone()).collect();
-                        v.sort();
-                        v
-                    },
-                    "{scenario}/{}/{}: engines disagree on the remedied violated set",
-                    campaign.name,
-                    remedy.name
-                );
-            }
+            let rem_profile = checked(&remedied, &format!("{}/{}", campaign.name, remedy.name));
             let props = prop_names
                 .iter()
                 .map(|&name| {
-                    let b = base_profile.violations.iter().find(|(p, _)| p == name);
-                    let r = rem_profile.violations.iter().find(|(p, _)| p == name);
+                    let (b, r) = (base_profile.witness(name), rem_profile.witness(name));
                     PropDiff {
                         property: name.to_string(),
                         base_violated: b.is_some(),
                         rem_violated: r.is_some(),
-                        base_witness: b.map(|(_, len)| *len),
-                        rem_witness: r.map(|(_, len)| *len),
+                        base_witness: b,
+                        rem_witness: r,
                     }
                 })
                 .collect();
@@ -270,7 +252,7 @@ fn diff_scenario<M>(
                 campaign: campaign.name,
                 remedy: remedy.name.to_string(),
                 class: remedy.class,
-                engine: canonical_name,
+                engine: strategy_name(canonical),
                 base_states: base_profile.states,
                 rem_states: rem_profile.states,
                 props,
@@ -302,7 +284,8 @@ pub fn partial_reliable_shim() -> RemedyOverlay {
     }
 }
 
-fn registry_remedy(name: &str) -> RemedyOverlay {
+/// The [`remedies::registry`] entry named `name`.
+pub(crate) fn registry_remedy(name: &str) -> RemedyOverlay {
     remedies::remedy(name).unwrap_or_else(|| panic!("registry is missing `{name}`"))
 }
 
@@ -311,11 +294,10 @@ fn registry_remedy(name: &str) -> RemedyOverlay {
 /// §8 remedy overlays from [`remedies::registry`] (plus the partial-shim
 /// probe on S2).
 ///
-/// `cross_engine`, when set, re-screens every non-lasso cell with that
-/// engine and asserts it finds the same violated-property sets — the
-/// printed numbers always come from the canonical sequential engines, so
-/// the rendered matrix is identical either way.
-pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
+/// Every non-lasso cell is re-screened with the parallel engine, which
+/// must find the same violated-property sets; the printed numbers always
+/// come from the canonical sequential engines.
+pub fn diff_matrix() -> Vec<DiffRow> {
     let mut rows = Vec::new();
 
     // S1 — shared switch context. Campaign: extra deactivation pressure
@@ -336,8 +318,6 @@ pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
         ],
         &[registry_remedy("bearer_reactivation")],
         SearchStrategy::Bfs,
-        "bfs",
-        cross_engine,
         &mut rows,
     );
 
@@ -365,8 +345,6 @@ pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
         ],
         &[registry_remedy("reliable_shim"), partial_reliable_shim()],
         SearchStrategy::Bfs,
-        "bfs",
-        cross_engine,
         &mut rows,
     );
 
@@ -390,8 +368,6 @@ pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
         ],
         &[registry_remedy("csfb_tag")],
         SearchStrategy::Dfs,
-        "dfs",
-        None,
         &mut rows,
     );
 
@@ -403,8 +379,6 @@ pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
         &[FaultCampaign::nominal()],
         &[registry_remedy("parallel_mm")],
         SearchStrategy::Bfs,
-        "bfs",
-        cross_engine,
         &mut rows,
     );
 
@@ -416,8 +390,6 @@ pub fn diff_matrix(cross_engine: Option<SearchStrategy>) -> Vec<DiffRow> {
         &[FaultCampaign::nominal()],
         &[registry_remedy("mme_lu_recovery")],
         SearchStrategy::Bfs,
-        "bfs",
-        cross_engine,
         &mut rows,
     );
 
@@ -534,18 +506,10 @@ impl OverlayCheck {
     }
 }
 
-fn compile_spec_file(path: &Path) -> Result<(String, specl::SpecModel), String> {
+fn compile_spec_file(path: &Path) -> Result<specl::SpecModel, String> {
     let src = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let spec = specl::parse(&src).map_err(|d| format!("{}: {}", path.display(), d.message))?;
-    let name = spec.name.name.clone();
-    specl::check(&spec).map_err(|ds| {
-        format!(
-            "{}: {}",
-            path.display(),
-            ds.first().map(|d| d.message.as_str()).unwrap_or("invalid")
-        )
-    })?;
-    Ok((name, specl::lower(&spec)))
+    specl::compile(&src)
+        .map_err(|diags| specl::render_diagnostics(&diags, &path.display().to_string(), &src))
 }
 
 fn merge_spec_files(base: &Path, patch: &Path) -> Result<(String, String, specl::SpecModel), String> {
@@ -571,12 +535,6 @@ fn merge_spec_files(base: &Path, patch: &Path) -> Result<(String, String, specl:
     ))
 }
 
-fn spec_profile(model: &specl::SpecModel, property: &str) -> (u64, bool, Option<usize>) {
-    let p = profile(model, SearchStrategy::Bfs);
-    let v = p.violations.iter().find(|(name, _)| name == property);
-    (p.states, v.is_some(), v.map(|(_, len)| *len))
-}
-
 /// Cross-check every spec-backed remedy overlay in the registry:
 /// merge the overlay onto its base spec and compare the compiled result
 /// against its reference.
@@ -599,21 +557,25 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         &repo_root.join("specs/attach_s2.specl"),
         &repo_root.join("specs/remedies/attach_s2__reliable_shim.specl"),
     )?;
-    let (m_states, m_viol, m_wit) = spec_profile(&merged, props::PACKET_SERVICE_OK);
-    let (_, reference) = compile_spec_file(&repo_root.join("specs/attach_reliable.specl"))?;
-    let (r_states, r_viol, r_wit) = spec_profile(&reference, props::PACKET_SERVICE_OK);
+    let m = profile(&merged, SearchStrategy::Bfs);
+    let reference = compile_spec_file(&repo_root.join("specs/attach_reliable.specl"))?;
+    let r = profile(&reference, SearchStrategy::Bfs);
+    let (m_wit, r_wit) = (
+        m.witness(props::PACKET_SERVICE_OK),
+        r.witness(props::PACKET_SERVICE_OK),
+    );
     rows.push(OverlayCheck {
         remedy: "reliable_shim",
         overlay_file: "specs/remedies/attach_s2__reliable_shim.specl",
         base_spec: base_name,
         merged_spec: merged_name,
         property: props::PACKET_SERVICE_OK,
-        merged_states: m_states,
-        merged_violated: m_viol,
+        merged_states: m.states,
+        merged_violated: m_wit.is_some(),
         merged_witness: m_wit,
         reference: "specs/attach_reliable.specl",
-        reference_states: r_states,
-        reference_violated: r_viol,
+        reference_states: r.states,
+        reference_violated: r_wit.is_some(),
         reference_witness: r_wit,
         exact: true,
     });
@@ -623,23 +585,22 @@ pub fn overlay_agreement(repo_root: &Path) -> Result<Vec<OverlayCheck>, String> 
         &repo_root.join("specs/crosssys_lu_s6.specl"),
         &repo_root.join("specs/remedies/crosssys_lu_s6__mme_recovery.specl"),
     )?;
-    let (m_states, m_viol, m_wit) = spec_profile(&merged, props::MM_OK);
-    let rust = CrossSysLuModel::remedied();
-    let rust_profile = profile(&rust, SearchStrategy::Bfs);
-    let rust_v = rust_profile.violations.iter().find(|(p, _)| p == props::MM_OK);
+    let m = profile(&merged, SearchStrategy::Bfs);
+    let r = profile(&CrossSysLuModel::remedied(), SearchStrategy::Bfs);
+    let (m_wit, r_wit) = (m.witness(props::MM_OK), r.witness(props::MM_OK));
     rows.push(OverlayCheck {
         remedy: "mme_lu_recovery",
         overlay_file: "specs/remedies/crosssys_lu_s6__mme_recovery.specl",
         base_spec: base_name,
         merged_spec: merged_name,
         property: props::MM_OK,
-        merged_states: m_states,
-        merged_violated: m_viol,
+        merged_states: m.states,
+        merged_violated: m_wit.is_some(),
         merged_witness: m_wit,
         reference: "CrossSysLuModel::remedied()",
-        reference_states: rust_profile.states,
-        reference_violated: rust_v.is_some(),
-        reference_witness: rust_v.map(|(_, len)| *len),
+        reference_states: r.states,
+        reference_violated: r_wit.is_some(),
+        reference_witness: r_wit,
         exact: false,
     });
 
@@ -680,12 +641,6 @@ pub fn render_overlay_agreement(rows: &[OverlayCheck]) -> String {
         ));
     }
     out
-}
-
-/// The mck-side counterpart of an overlay's channel edit, for callers
-/// outside this module that interpret [`OverlayEdit::SetChannel`].
-pub fn channel_semantics(spec: &ChannelSpec) -> ChanSemantics {
-    chan_semantics(spec)
 }
 
 impl Overlayable for AttachModel {
@@ -814,7 +769,7 @@ mod tests {
 
     #[test]
     fn full_remedies_eliminate_their_violations() {
-        let rows = diff_matrix(None);
+        let rows = diff_matrix();
         // ISSUE acceptance: >= 2 of S1..S6 eliminated by their §8 remedy.
         for (scenario, remedy, property) in [
             ("S1", "bearer_reactivation", props::PACKET_SERVICE_OK),
@@ -834,7 +789,7 @@ mod tests {
 
     #[test]
     fn partial_shim_persists_under_loss() {
-        let rows = diff_matrix(None);
+        let rows = diff_matrix();
         for campaign in ["nominal", "drop-only"] {
             let row = cell(&rows, "S2", campaign, "reliable_shim/no-retx");
             assert_eq!(
@@ -848,7 +803,7 @@ mod tests {
 
     #[test]
     fn csfb_tag_introduces_data_disruption() {
-        let rows = diff_matrix(None);
+        let rows = diff_matrix();
         let row = cell(&rows, "S3", "nominal", "csfb_tag");
         assert_eq!(prop(row, props::MM_OK).status(), "eliminated");
         assert_eq!(
@@ -862,7 +817,7 @@ mod tests {
     fn remedies_hold_under_campaign_pressure() {
         // The re-screen under fault campaigns: the full remedies stay
         // effective when the campaign turns the pressure up.
-        let rows = diff_matrix(None);
+        let rows = diff_matrix();
         let s1 = cell(&rows, "S1", "deact-pressure", "bearer_reactivation");
         assert_eq!(prop(s1, props::PACKET_SERVICE_OK).status(), "eliminated");
         let s2 = cell(&rows, "S2", "drop-only", "reliable_shim");
@@ -873,7 +828,7 @@ mod tests {
 
     #[test]
     fn matrix_reports_state_space_diffs() {
-        let rows = diff_matrix(None);
+        let rows = diff_matrix();
         for row in &rows {
             assert!(row.base_states > 0 && row.rem_states > 0);
         }
@@ -883,12 +838,20 @@ mod tests {
     }
 
     #[test]
-    fn matrix_is_identical_across_engines() {
-        let seq = render_matrix(&diff_matrix(None));
-        let cross = render_matrix(&diff_matrix(Some(SearchStrategy::ParallelBfs {
-            workers: 2,
-        })));
-        assert_eq!(seq, cross, "cross-engine screening must not change the matrix");
+    fn kept_constructors_equal_their_registry_overlays() {
+        // Goldens print these constructor names as references, so they
+        // must not drift from the registry overlays they stand for.
+        assert_eq!(
+            format!("{:?}", AttachModel::with_reliable_transport()),
+            format!("{:?}", registry_remedy("reliable_shim").apply(&AttachModel::paper())),
+        );
+        assert_eq!(
+            format!("{:?}", CrossSysLuModel::remedied()),
+            format!(
+                "{:?}",
+                registry_remedy("mme_lu_recovery").apply(&CrossSysLuModel::paper())
+            ),
+        );
     }
 
     #[test]

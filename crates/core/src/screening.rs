@@ -5,10 +5,12 @@
 //! is the run that "identifies four instances S1–S4" (§4); S5 and S6 are
 //! operational and surface in [`crate::validation`].
 //!
-//! The four model families are independent, so screening fans them out
-//! across threads: S1/S2/S4 run on the lock-free parallel BFS engine, S3
-//! on DFS (its witness is a lasso, which only DFS detects). Reports list
-//! the runs in S1..S4 order regardless of which thread finishes first.
+//! Each family is screened by one sequential run, as the paper screens
+//! each model with one Spin run: BFS for S1/S2/S4 (shortest witnesses),
+//! DFS for S3 (its witness is a lasso, which only DFS detects). Sequential
+//! search makes every witness a pure function of the model, so reports —
+//! and the goldens diffed against them — are identical across runs and
+//! hosts. Reports list the runs in S1..S4 order.
 //!
 //! # Graceful degradation
 //!
@@ -16,8 +18,8 @@
 //! cannot exhaust its state space within the configured [`ScreenBudget`]
 //! degrades instead of failing:
 //!
-//! 1. the requested engine (parallel BFS for S1/S2/S4, DFS for S3), then
-//! 2. sequential BFS (no layer-merge overhead, smaller footprint), then
+//! 1. the family's engine (BFS, or DFS for S3), then
+//! 2. BFS, when the first rung was DFS, then
 //! 3. seeded random-walk sampling ([`mck::RandomWalk`]) — §3.2's
 //!    "increase the sampling rate" fallback — and, when even sampling
 //!    comes back empty-handed,
@@ -27,14 +29,14 @@
 //!
 //! Whatever rung answered is recorded in [`ModelRun::engine`], and the
 //! honesty of the answer in [`ModelRun::verdict`]: an `Incomplete` verdict
-//! means absence of a finding is *not* evidence of absence. A worker that
+//! means absence of a finding is *not* evidence of absence. A model that
 //! panics is contained: its panic payload is captured into
 //! [`ModelRun::panicked`] (naming the model family) and the other
 //! families' findings are reported normally.
 
 use std::fs;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
-use std::thread;
 use std::time::Duration;
 
 use mck::{CheckStats, Checker, Model, RandomWalk, SearchStrategy, StoreMode, Verdict, Violation};
@@ -48,6 +50,7 @@ use crate::models::csfb_rrc::CsfbRrcModel;
 use crate::models::holblock::HolBlockModel;
 use crate::models::switchctx::SwitchContextModel;
 use crate::props;
+use crate::remedydiff::{profile, registry_remedy};
 
 /// The result of one model's screening run.
 #[derive(Debug)]
@@ -58,15 +61,15 @@ pub struct ModelRun {
     pub stats: CheckStats,
     /// Findings extracted from violations.
     pub findings: Vec<Finding>,
-    /// Which engine rung produced the answer: `"parallel-bfs"`, `"bfs"`,
-    /// `"dfs"`, `"random-walk"`, `"bitstate-bfs"`, or `"none"` (worker
+    /// Which engine rung produced the answer: `"bfs"`, `"dfs"`,
+    /// `"random-walk"`, `"bitstate-bfs"`, or `"none"` (the model
     /// panicked).
     pub engine: &'static str,
     /// Whether the answering rung exhausted the reachable space. Reports
     /// must surface `Incomplete` — a clean-but-truncated run proves
     /// nothing about the states it never visited.
     pub verdict: Verdict,
-    /// The captured panic payload when this family's worker panicked.
+    /// The captured panic payload when this family's model panicked.
     /// `Some` never suppresses the other families' results.
     pub panicked: Option<String>,
 }
@@ -101,14 +104,14 @@ impl ScreeningReport {
             .filter(|r| matches!(r.verdict, Verdict::Incomplete { .. }))
     }
 
-    /// Families whose worker panicked, with the captured payload.
+    /// Families whose model panicked, with the captured payload.
     pub fn panics(&self) -> impl Iterator<Item = (&'static str, &str)> {
         self.runs
             .iter()
             .filter_map(|r| r.panicked.as_deref().map(|p| (r.model_name, p)))
     }
 
-    /// Every run exhausted its space and no worker panicked.
+    /// Every run exhausted its space and no model panicked.
     pub fn complete(&self) -> bool {
         self.runs
             .iter()
@@ -169,15 +172,12 @@ fn finding_from<M: Model>(model: &M, instance: Instance, violation: &Violation<M
     }
 }
 
-/// Worker threads each concurrent model run gets: the four families split
-/// the machine between them rather than oversubscribing it. The CPU count
-/// (and its no-`available_parallelism` fallback) comes from
-/// [`mck::default_workers`] so the checker and the fan-out agree on it.
-fn per_run_workers() -> usize {
-    (mck::default_workers() / 4).max(1)
-}
+/// The engine that cross-checks sequential BFS verdicts (the 5G corpus
+/// conformance table, the remedy matrix). A fixed worker count keeps the
+/// check the same on every host.
+pub(crate) const CROSS_CHECK: SearchStrategy = SearchStrategy::ParallelBfs { workers: 2 };
 
-fn strategy_name(strategy: SearchStrategy) -> &'static str {
+pub(crate) fn strategy_name(strategy: SearchStrategy) -> &'static str {
     match strategy {
         SearchStrategy::Bfs => "bfs",
         SearchStrategy::Dfs => "dfs",
@@ -209,6 +209,10 @@ where
 /// degrading through the engine ladder when a rung runs out of budget
 /// without producing an answer (a violation counts as an answer even when
 /// the sweep is truncated — the counterexample stands on its own).
+///
+/// A panic anywhere in the ladder is contained: the run comes back with
+/// engine `"none"`, no findings, an `Incomplete` verdict and the payload in
+/// [`ModelRun::panicked`], so one broken model cannot take down a report.
 fn screen<M>(
     model: M,
     strategy: SearchStrategy,
@@ -222,13 +226,50 @@ where
     M::State: Send + Sync,
     M::Action: Send + Sync,
 {
+    let run = || ladder(&model, strategy, property, instance, model_name, budget);
+    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        ModelRun {
+            model_name,
+            stats: CheckStats::default(),
+            findings: Vec::new(),
+            engine: "none",
+            verdict: Verdict::Incomplete {
+                explored: 0,
+                reason: format!("model panicked: {msg}"),
+            },
+            panicked: Some(msg),
+        }
+    })
+}
+
+/// The engine ladder behind [`screen`].
+fn ladder<M>(
+    model: &M,
+    strategy: SearchStrategy,
+    property: &str,
+    instance: Instance,
+    model_name: &'static str,
+    budget: ScreenBudget,
+) -> ModelRun
+where
+    M: Model + Sync + Clone,
+    M::State: Send + Sync,
+    M::Action: Send + Sync,
+{
     let mut rungs = vec![strategy];
-    if strategy_name(strategy) != "bfs" {
+    if strategy != SearchStrategy::Bfs {
         rungs.push(SearchStrategy::Bfs);
     }
     let mut last: Option<(SearchStrategy, mck::CheckResult<M>)> = None;
     for rung in rungs {
-        let result = check_rung(&model, rung, budget);
+        let result = check_rung(model, rung, budget);
         let answered = result.complete || result.violation(property).is_some();
         last = Some((rung, result));
         if answered {
@@ -239,7 +280,7 @@ where
     if result.complete || result.violation(property).is_some() {
         let findings = result
             .violation(property)
-            .map(|v| vec![finding_from(&model, instance, v)])
+            .map(|v| vec![finding_from(model, instance, v)])
             .unwrap_or_default();
         let verdict = result.verdict();
         return ModelRun {
@@ -257,7 +298,7 @@ where
     let report = RandomWalk::seeded(WALK_SEED)
         .walks(budget.walks)
         .max_steps(budget.walk_steps)
-        .run(&model);
+        .run(model);
     let explored = result.stats.unique_states;
     let stop_reason = result.stop_reason.unwrap_or("budget exhausted");
     if let Some(path) = report.witness(property) {
@@ -304,7 +345,7 @@ where
     let bit_result = bit.run();
     let findings = bit_result
         .violation(property)
-        .map(|v| vec![finding_from(&model, instance, v)])
+        .map(|v| vec![finding_from(model, instance, v)])
         .unwrap_or_default();
     let explored = bit_result.stats.unique_states;
     let omission = bit_result.stats.omission_probability();
@@ -327,110 +368,16 @@ where
     }
 }
 
-/// Join one family's worker, containing a panic into a [`ModelRun`] that
-/// names the family instead of poisoning the whole report.
-fn join_run(handle: thread::ScopedJoinHandle<'_, ModelRun>, family: &'static str) -> ModelRun {
-    match handle.join() {
-        Ok(run) => run,
-        Err(payload) => {
-            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            ModelRun {
-                model_name: family,
-                stats: CheckStats::default(),
-                findings: Vec::new(),
-                engine: "none",
-                verdict: Verdict::Incomplete {
-                    explored: 0,
-                    reason: format!("worker panicked: {msg}"),
-                },
-                panicked: Some(msg),
-            }
-        }
-    }
-}
-
 /// Run the full screening phase with the paper's model configurations.
-///
-/// The four families run concurrently; the report lists them S1..S4.
-pub fn run_screening() -> ScreeningReport {
-    run_screening_budgeted(ScreenBudget::default())
-}
-
-/// [`run_screening`] under an explicit per-run budget (the degradation
-/// ladder engages when a family cannot finish within it).
-pub fn run_screening_budgeted(budget: ScreenBudget) -> ScreeningReport {
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        // S1 — shared context across inter-system switches.
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (S1 family)",
-                budget,
-            )
-        });
-        // S2 — attach over unreliable RRC.
-        let s2 = s.spawn(move || {
-            screen(
-                AttachModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach/unreliable-RRC (S2 family)",
-                budget,
-            )
-        });
-        // S3 — CSFB return gated on RRC state (needs DFS for the lasso).
-        let s3 = s.spawn(move || {
-            screen(
-                CsfbRrcModel::op2_high_rate(),
-                SearchStrategy::Dfs,
-                props::MM_OK,
-                Instance::S3,
-                "csfb-rrc (S3 family)",
-                budget,
-            )
-        });
-        // S4 — HOL blocking behind location updates.
-        let s4 = s.spawn(move || {
-            screen(
-                HolBlockModel::paper(),
-                par,
-                props::CALL_SERVICE_OK,
-                Instance::S4,
-                "mm-holblock (S4 family)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (S1 family)"),
-            join_run(s2, "attach/unreliable-RRC (S2 family)"),
-            join_run(s3, "csfb-rrc (S3 family)"),
-            join_run(s4, "mm-holblock (S4 family)"),
-        ]
-    });
-
-    ScreeningReport { runs: runs.into() }
-}
-
-/// Single-threaded screening with sequential engines (BFS for S1/S2/S4,
-/// DFS for S3). Sequential search makes each witness path a pure function
-/// of the model, so signatures compiled from the counterexamples — and
-/// anything diffed against a golden file, like the `--exp diagnose`
-/// matrix — stay stable across runs and machines.
+/// Each family runs on its sequential engine (BFS for S1/S2/S4, DFS for
+/// S3), so every witness path is a pure function of the model: signatures
+/// compiled from the counterexamples — and anything diffed against a
+/// golden file, like the `--exp diagnose` matrix — stay stable across runs
+/// and machines.
 pub fn run_screening_deterministic() -> ScreeningReport {
     let budget = ScreenBudget::default();
     let runs = vec![
+        // S1 — shared context across inter-system switches.
         screen(
             SwitchContextModel::paper(),
             SearchStrategy::Bfs,
@@ -439,6 +386,7 @@ pub fn run_screening_deterministic() -> ScreeningReport {
             "switch-context (S1 family)",
             budget,
         ),
+        // S2 — attach over unreliable RRC.
         screen(
             AttachModel::paper(),
             SearchStrategy::Bfs,
@@ -447,6 +395,7 @@ pub fn run_screening_deterministic() -> ScreeningReport {
             "attach/unreliable-RRC (S2 family)",
             budget,
         ),
+        // S3 — CSFB return gated on RRC state (needs DFS for the lasso).
         screen(
             CsfbRrcModel::op2_high_rate(),
             SearchStrategy::Dfs,
@@ -455,6 +404,7 @@ pub fn run_screening_deterministic() -> ScreeningReport {
             "csfb-rrc (S3 family)",
             budget,
         ),
+        // S4 — HOL blocking behind location updates.
         screen(
             HolBlockModel::paper(),
             SearchStrategy::Bfs,
@@ -468,61 +418,47 @@ pub fn run_screening_deterministic() -> ScreeningReport {
 }
 
 /// Run the screening phase with every §8 remedy applied: used to show the
-/// solution eliminates the design defects (§9). Any finding in this report
+/// solution eliminates the design defects (§9). Each remedied model is the
+/// paper model with its [`remedies::registry`] overlay applied, the same
+/// models the differential matrix screens. Any finding in this report
 /// means a remedy failed.
 pub fn run_screening_remedied() -> ScreeningReport {
     let budget = ScreenBudget::default();
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::remedied(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (remedied)",
-                budget,
-            )
-        });
-        let s2 = s.spawn(move || {
-            screen(
-                AttachModel::with_reliable_transport(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach (reliable shim)",
-                budget,
-            )
-        });
-        let s3 = s.spawn(move || {
-            screen(
-                CsfbRrcModel::op2_remedied(),
-                SearchStrategy::Dfs,
-                props::MM_OK,
-                Instance::S3,
-                "csfb-rrc (CSFB tag)",
-                budget,
-            )
-        });
-        let s4 = s.spawn(move || {
-            screen(
-                HolBlockModel::remedied(),
-                par,
-                props::CALL_SERVICE_OK,
-                Instance::S4,
-                "mm-holblock (parallel threads)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (remedied)"),
-            join_run(s2, "attach (reliable shim)"),
-            join_run(s3, "csfb-rrc (CSFB tag)"),
-            join_run(s4, "mm-holblock (parallel threads)"),
-        ]
-    });
-    ScreeningReport { runs: runs.into() }
+    let runs = vec![
+        screen(
+            registry_remedy("bearer_reactivation").apply(&SwitchContextModel::paper()),
+            SearchStrategy::Bfs,
+            props::PACKET_SERVICE_OK,
+            Instance::S1,
+            "switch-context (remedied)",
+            budget,
+        ),
+        screen(
+            registry_remedy("reliable_shim").apply(&AttachModel::paper()),
+            SearchStrategy::Bfs,
+            props::PACKET_SERVICE_OK,
+            Instance::S2,
+            "attach (reliable shim)",
+            budget,
+        ),
+        screen(
+            registry_remedy("csfb_tag").apply(&CsfbRrcModel::op2_high_rate()),
+            SearchStrategy::Dfs,
+            props::MM_OK,
+            Instance::S3,
+            "csfb-rrc (CSFB tag)",
+            budget,
+        ),
+        screen(
+            registry_remedy("parallel_mm").apply(&HolBlockModel::paper()),
+            SearchStrategy::Bfs,
+            props::CALL_SERVICE_OK,
+            Instance::S4,
+            "mm-holblock (parallel threads)",
+            budget,
+        ),
+    ];
+    ScreeningReport { runs }
 }
 
 /// Re-screen with the TS 24.301 retransmission timers modeled: S2's
@@ -534,46 +470,33 @@ pub fn run_screening_remedied() -> ScreeningReport {
 /// failure-propagation (S6) defects.
 pub fn run_screening_with_retries() -> ScreeningReport {
     let budget = ScreenBudget::default();
-    let workers = per_run_workers();
-    let par = SearchStrategy::ParallelBfs { workers };
-    let runs = thread::scope(|s| {
-        let s1 = s.spawn(move || {
-            screen(
-                SwitchContextModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S1,
-                "switch-context (S1, timers irrelevant)",
-                budget,
-            )
-        });
-        let s2 = s.spawn(move || {
-            screen(
-                RetryAttachModel::paper(),
-                par,
-                props::PACKET_SERVICE_OK,
-                Instance::S2,
-                "attach (T3410/T3430, lossy-but-fair)",
-                budget,
-            )
-        });
-        let s6 = s.spawn(move || {
-            screen(
-                CrossSysLuModel::paper(),
-                SearchStrategy::Bfs,
-                props::MM_OK,
-                Instance::S6,
-                "crosssys-lu (S6, timers irrelevant)",
-                budget,
-            )
-        });
-        [
-            join_run(s1, "switch-context (S1, timers irrelevant)"),
-            join_run(s2, "attach (T3410/T3430, lossy-but-fair)"),
-            join_run(s6, "crosssys-lu (S6, timers irrelevant)"),
-        ]
-    });
-    ScreeningReport { runs: runs.into() }
+    let runs = vec![
+        screen(
+            SwitchContextModel::paper(),
+            SearchStrategy::Bfs,
+            props::PACKET_SERVICE_OK,
+            Instance::S1,
+            "switch-context (S1, timers irrelevant)",
+            budget,
+        ),
+        screen(
+            RetryAttachModel::paper(),
+            SearchStrategy::Bfs,
+            props::PACKET_SERVICE_OK,
+            Instance::S2,
+            "attach (T3410/T3430, lossy-but-fair)",
+            budget,
+        ),
+        screen(
+            CrossSysLuModel::paper(),
+            SearchStrategy::Bfs,
+            props::MM_OK,
+            Instance::S6,
+            "crosssys-lu (S6, timers irrelevant)",
+            budget,
+        ),
+    ];
+    ScreeningReport { runs }
 }
 
 // ---------------------------------------------------------------------------
@@ -723,20 +646,6 @@ impl SpecAgreement {
     }
 }
 
-/// Exhaustive sequential-BFS profile of one model against one property:
-/// (unique states, violated?, counterexample length).
-fn bfs_profile<M>(model: M, property: &str) -> (u64, bool, Option<usize>)
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-    M::Action: Send + Sync,
-{
-    let result = Checker::new(model).strategy(SearchStrategy::Bfs).run();
-    assert!(result.complete, "agreement profiles must be exhaustive");
-    let v = result.violation(property);
-    (result.stats.unique_states, v.is_some(), v.map(|v| v.path.len()))
-}
-
 /// Cross-check every spec under `dir` against its hand-written Rust
 /// counterpart, pairing them by spec name. A spec with no counterpart is an
 /// error — the agreement table is a verification artifact, not a best-effort
@@ -749,20 +658,17 @@ pub fn spec_agreement(dir: &Path) -> Result<Vec<SpecAgreement>, String> {
             "attach" => (
                 "AttachModel::paper()",
                 props::PACKET_SERVICE_OK,
-                bfs_profile(AttachModel::paper(), props::PACKET_SERVICE_OK),
+                profile(&AttachModel::paper(), SearchStrategy::Bfs),
             ),
             "attach_reliable" => (
                 "AttachModel::with_reliable_transport()",
                 props::PACKET_SERVICE_OK,
-                bfs_profile(
-                    AttachModel::with_reliable_transport(),
-                    props::PACKET_SERVICE_OK,
-                ),
+                profile(&AttachModel::with_reliable_transport(), SearchStrategy::Bfs),
             ),
             "crosssys_lu" => (
                 "CrossSysLuModel::paper()",
                 props::MM_OK,
-                bfs_profile(CrossSysLuModel::paper(), props::MM_OK),
+                profile(&CrossSysLuModel::paper(), SearchStrategy::Bfs),
             ),
             other => {
                 return Err(format!(
@@ -771,18 +677,18 @@ pub fn spec_agreement(dir: &Path) -> Result<Vec<SpecAgreement>, String> {
                 ))
             }
         };
-        let (spec_states, spec_violated, spec_witness) = bfs_profile(spec.model.clone(), property);
-        let (hand_states, hand_violated, hand_witness) = hand;
+        let ours = profile(&spec.model, SearchStrategy::Bfs);
+        let (spec_witness, hand_witness) = (ours.witness(property), hand.witness(property));
         rows.push(SpecAgreement {
             name: spec.name,
             file: spec.file,
             instance: spec.instance,
             hand_model,
             property,
-            spec_states,
-            hand_states,
-            spec_violated,
-            hand_violated,
+            spec_states: ours.states,
+            hand_states: hand.states,
+            spec_violated: spec_witness.is_some(),
+            hand_violated: hand_witness.is_some(),
             spec_witness,
             hand_witness,
         });
@@ -1028,13 +934,7 @@ pub fn fiveg_corpus_check(dir: &Path) -> Result<Vec<CorpusCheck>, String> {
             .to_string();
         let property = spec.instance.property();
         let bfs = check_rung(&spec.model, SearchStrategy::Bfs, budget);
-        let par = check_rung(
-            &spec.model,
-            SearchStrategy::ParallelBfs {
-                workers: per_run_workers(),
-            },
-            budget,
-        );
+        let par = check_rung(&spec.model, CROSS_CHECK, budget);
         if !bfs.complete || !par.complete {
             return Err(format!(
                 "{}: conformance sweeps must be exhaustive",
@@ -1061,7 +961,7 @@ mod tests {
 
     #[test]
     fn screening_finds_s1_through_s4() {
-        let report = run_screening();
+        let report = run_screening_deterministic();
         for instance in [Instance::S1, Instance::S2, Instance::S3, Instance::S4] {
             let f = report
                 .finding(instance)
@@ -1075,28 +975,27 @@ mod tests {
     fn s5_s6_not_found_by_screening() {
         // Matches §4: the screening phase yields S1–S4; S5/S6 are
         // operational and only surface during validation.
-        let report = run_screening();
+        let report = run_screening_deterministic();
         assert!(report.finding(Instance::S5).is_none());
         assert!(report.finding(Instance::S6).is_none());
     }
 
     #[test]
     fn s3_witness_is_a_lasso() {
-        let report = run_screening();
+        let report = run_screening_deterministic();
         assert!(report.finding(Instance::S3).unwrap().lasso);
     }
 
     #[test]
     fn screening_explores_nontrivial_space() {
-        let report = run_screening();
+        let report = run_screening_deterministic();
         assert!(report.total_states() > 100);
         assert_eq!(report.runs.len(), 4);
     }
 
     #[test]
     fn report_orders_runs_s1_to_s4() {
-        // Runs execute concurrently but the report order is fixed.
-        let report = run_screening();
+        let report = run_screening_deterministic();
         let names: Vec<_> = report.runs.iter().map(|r| r.model_name).collect();
         assert_eq!(
             names,
@@ -1111,11 +1010,11 @@ mod tests {
 
     #[test]
     fn unbudgeted_screening_is_complete_on_first_rung() {
-        let report = run_screening();
+        let report = run_screening_deterministic();
         assert!(report.complete());
         for run in &report.runs {
             assert_eq!(run.verdict, Verdict::Complete);
-            assert!(matches!(run.engine, "parallel-bfs" | "dfs"));
+            assert!(matches!(run.engine, "bfs" | "dfs"));
             assert!(run.panicked.is_none());
         }
     }
@@ -1154,7 +1053,7 @@ mod tests {
         // answering rung was cut short.
         let run = screen(
             AttachModel::paper(),
-            SearchStrategy::ParallelBfs { workers: 2 },
+            SearchStrategy::Bfs,
             props::PACKET_SERVICE_OK,
             Instance::S2,
             "attach (tight budget)",
@@ -1182,7 +1081,7 @@ mod tests {
         };
         let run = screen(
             AttachModel::with_reliable_transport(),
-            SearchStrategy::ParallelBfs { workers: 2 },
+            SearchStrategy::Bfs,
             props::PACKET_SERVICE_OK,
             Instance::S2,
             "attach (hopeless budget)",
@@ -1228,12 +1127,41 @@ mod tests {
         assert_eq!(run.findings.len(), 1);
     }
 
+    /// A model whose first transition panics mid-exploration.
+    #[derive(Clone)]
+    struct Doomed;
+
+    impl Model for Doomed {
+        type State = u8;
+        type Action = ();
+
+        fn init_states(&self) -> Vec<u8> {
+            vec![0]
+        }
+
+        fn actions(&self, _: &u8, out: &mut Vec<()>) {
+            out.push(());
+        }
+
+        fn next_state(&self, _: &u8, _: &()) -> Option<u8> {
+            panic!("fingerprint table poisoned")
+        }
+    }
+
     #[test]
-    fn worker_panic_is_contained_and_named() {
-        // Simulate one family's worker dying mid-run: the join helper must
-        // capture the payload and keep the report usable.
-        let runs = thread::scope(|s| {
-            let ok = s.spawn(|| {
+    fn model_panic_is_contained_and_named() {
+        // One family's model dies mid-run: screen() must capture the
+        // payload, and the next family must still screen normally.
+        let report = ScreeningReport {
+            runs: vec![
+                screen(
+                    Doomed,
+                    SearchStrategy::Bfs,
+                    props::CALL_SERVICE_OK,
+                    Instance::S4,
+                    "holblock (doomed)",
+                    ScreenBudget::default(),
+                ),
                 screen(
                     AttachModel::paper(),
                     SearchStrategy::Bfs,
@@ -1241,26 +1169,28 @@ mod tests {
                     Instance::S2,
                     "attach (healthy)",
                     ScreenBudget::default(),
-                )
-            });
-            let bad: thread::ScopedJoinHandle<'_, ModelRun> =
-                s.spawn(|| panic!("fingerprint table poisoned"));
-            [
-                join_run(ok, "attach (healthy)"),
-                join_run(bad, "holblock (doomed)"),
-            ]
-        });
-        let report = ScreeningReport { runs: runs.into() };
-        // The healthy family's finding survives ...
-        assert!(report.finding(Instance::S2).is_some());
-        // ... and the dead one is named, with the payload.
-        let panics: Vec<_> = report.panics().collect();
-        assert_eq!(panics.len(), 1);
-        assert_eq!(panics[0].0, "holblock (doomed)");
-        assert!(panics[0].1.contains("fingerprint table poisoned"));
-        assert!(!report.complete());
-        let dead = &report.runs[1];
+                ),
+            ],
+        };
+        let dead = &report.runs[0];
+        assert_eq!(dead.model_name, "holblock (doomed)");
         assert_eq!(dead.engine, "none");
-        assert!(matches!(dead.verdict, Verdict::Incomplete { .. }));
+        assert!(dead.findings.is_empty());
+        assert_eq!(dead.stats.unique_states, 0);
+        assert_eq!(
+            dead.verdict,
+            Verdict::Incomplete {
+                explored: 0,
+                reason: "model panicked: fingerprint table poisoned".into(),
+            }
+        );
+        assert_eq!(dead.panicked.as_deref(), Some("fingerprint table poisoned"));
+        assert_eq!(
+            report.panics().collect::<Vec<_>>(),
+            [("holblock (doomed)", "fingerprint table poisoned")]
+        );
+        assert!(!report.complete());
+        // The healthy family's finding survives.
+        assert!(report.finding(Instance::S2).is_some());
     }
 }

@@ -69,16 +69,6 @@ pub struct OperatorProfile {
 }
 
 impl OperatorProfile {
-    /// A filesystem/JSON-key safe identifier for the profile
-    /// ("op_i" / "op_ii"), used by experiment reports.
-    pub fn slug(&self) -> String {
-        self.name
-            .to_lowercase()
-            .chars()
-            .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-            .collect()
-    }
-
     /// The §8 remedy rollout of this profile: same policies and latencies,
     /// but handsets carry the device-side remedy bundle and the MME
     /// absorbs LU failures. The display name gains a `+R` suffix so fleet

@@ -175,11 +175,6 @@ impl Ev {
             Ev::DrivePosition => 25,
         }
     }
-
-    /// The kind name ([`Self::KIND_NAMES`] at [`Self::kind_index`]).
-    pub fn kind_name(&self) -> &'static str {
-        Self::KIND_NAMES[self.kind_index()]
-    }
 }
 
 /// World configuration.
@@ -399,12 +394,6 @@ impl World {
         if self.now < deadline {
             self.now = deadline;
         }
-    }
-
-    /// Run until the queue drains (bounded by `max_ms` of simulated time).
-    pub fn run_to_quiescence(&mut self, max_ms: u64) {
-        let deadline = self.now + max_ms;
-        self.run_until(deadline);
     }
 
     /// Start a drive test; schedules position ticks every second.

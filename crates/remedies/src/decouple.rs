@@ -4,8 +4,8 @@
 //! PS traffic" — evaluated here as Figure 13's coupled-vs-decoupled voice
 //! and data speeds. "Second, to prevent the CSFB inter-system switching
 //! from being blocked in the PS domain, we add a new function into the BS's
-//! RRC" — the CSFB tag, evaluated by the screening model
-//! `cnetverifier::models::csfb_rrc::CsfbRrcModel::op2_remedied` and by
+//! RRC" — the CSFB tag, evaluated by the `csfb_tag` overlay applied to
+//! the OP-II screening model (`cnetverifier::models::csfb_rrc`) and by
 //! [`csfb_switch_never_blocked`].
 //!
 //! The Figure 13 numbers follow the paper's own §9.2 emulation: the coupled

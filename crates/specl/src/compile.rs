@@ -355,11 +355,6 @@ impl SpecModel {
         Some(scaled)
     }
 
-    /// Current per-timer multipliers, indexed like [`Program::timers`].
-    pub fn timer_scales(&self) -> &[i64] {
-        &self.timer_scale
-    }
-
     fn effective_duration(&self, t: usize) -> i64 {
         self.program.timers[t].duration.saturating_mul(self.timer_scale[t])
     }

@@ -15,7 +15,7 @@ fn main() {
 
     // ---- Phase 1: screening (model checking) ----
     println!("Phase 1: screening the protocol models...\n");
-    let report = cnetverifier::run_screening();
+    let report = cnetverifier::run_screening_deterministic();
     for run in &report.runs {
         println!("  model {:<36} {}", run.model_name, run.stats);
     }

@@ -110,7 +110,10 @@ fn s3_mechanism_split_agrees_across_phases() {
 #[test]
 fn remedies_fix_model_and_simulator_consistently() {
     // Model side.
-    let result = Checker::new(SwitchContextModel::remedied()).run();
+    let remedied = remedies::remedy("bearer_reactivation")
+        .expect("registry entry")
+        .apply(&SwitchContextModel::paper());
+    let result = Checker::new(remedied).run();
     assert!(result.holds());
 
     // Simulator side: the same S1 scenario with the remedies on.

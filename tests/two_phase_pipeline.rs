@@ -7,12 +7,13 @@
 
 use cnetverifier::findings::{Category, Instance, Phase};
 use cnetverifier::{
-    diagnose, run_screening, run_screening_remedied, validate_all, DefectClass, Verdict,
+    diagnose, run_screening_deterministic, run_screening_remedied, validate_all, DefectClass,
+    Verdict,
 };
 
 #[test]
 fn screening_finds_exactly_the_four_design_defects() {
-    let report = run_screening();
+    let report = run_screening_deterministic();
     let found: Vec<Instance> = report.findings().map(|f| f.instance).collect();
     assert_eq!(
         found,
@@ -135,7 +136,7 @@ fn remedied_screening_is_completely_clean() {
 
 #[test]
 fn counterexample_witnesses_are_human_readable() {
-    let report = run_screening();
+    let report = run_screening_deterministic();
     for f in report.findings() {
         assert_eq!(f.witness.len(), f.steps);
         for step in &f.witness {
