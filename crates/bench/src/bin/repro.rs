@@ -373,8 +373,7 @@ fn spec_check() {
 /// under the disk-spillable frontier with path tracking off — the exact
 /// configuration the 10⁸-state run uses. Everything on stdout is engine
 /// output that is a pure function of the model (state counts, transition
-/// counts, spill segments, omission probabilities from the fixed FNV-1a
-/// fingerprints), so CI diffs it against
+/// counts, spill segments, omission probabilities), so CI diffs it against
 /// `crates/bench/golden/statespace_smoke.txt`. Wall-clock, bytes/state
 /// (allocator-capacity dependent) and peak RSS go to stderr.
 ///

@@ -168,6 +168,22 @@ mod tests {
     }
 
     #[test]
+    fn state_fingerprints_are_distinct_over_the_population() {
+        // 10⁴ states under both eventually-masks: the hash-compact store
+        // must key all 20 000 nodes apart.
+        let model = NUeModel { ues: 4, contexts: 10 };
+        let graph = mck::explore(&model, 20_000);
+        assert!(graph.complete);
+        assert_eq!(graph.states.len(), 10_000);
+        let fps: std::collections::HashSet<u64> = graph
+            .states
+            .iter()
+            .flat_map(|s| [0, 1].map(|ebits| mck::fingerprint::fingerprint_with_ebits(s, ebits)))
+            .collect();
+        assert_eq!(fps.len(), 20_000);
+    }
+
+    #[test]
     fn collapse_interning_roundtrips_context_blobs() {
         let model = NUeModel { ues: 4, contexts: 5 };
         let state: Box<[u8]> = vec![0, 3, 4, 1].into_boxed_slice();

@@ -32,7 +32,9 @@
 //! means absence of a finding is *not* evidence of absence. A model that
 //! panics is contained: its panic payload is captured into
 //! [`ModelRun::panicked`] (naming the model family) and the other
-//! families' findings are reported normally.
+//! families' findings are reported normally. Spec screening contains a
+//! panicking compiled spec the same way, and the timing-lattice sweep
+//! turns one into an error naming the file and the lattice point.
 
 use std::fs;
 use std::panic::{self, AssertUnwindSafe};
@@ -210,9 +212,8 @@ where
 /// without producing an answer (a violation counts as an answer even when
 /// the sweep is truncated — the counterexample stands on its own).
 ///
-/// A panic anywhere in the ladder is contained: the run comes back with
-/// engine `"none"`, no findings, an `Incomplete` verdict and the payload in
-/// [`ModelRun::panicked`], so one broken model cannot take down a report.
+/// A panic anywhere in the ladder is contained ([`panicked_run`]), so one
+/// broken model cannot take down a report.
 fn screen<M>(
     model: M,
     strategy: SearchStrategy,
@@ -226,27 +227,38 @@ where
     M::State: Send + Sync,
     M::Action: Send + Sync,
 {
-    let run = || ladder(&model, strategy, property, instance, model_name, budget);
-    panic::catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|payload| {
-        let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+    contain(|| ladder(&model, strategy, property, instance, model_name, budget))
+        .unwrap_or_else(|msg| panicked_run(model_name, msg))
+}
+
+/// Run `f`, turning a panic into `Err` carrying the payload's message.
+fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
             s.clone()
         } else {
             "non-string panic payload".to_string()
-        };
-        ModelRun {
-            model_name,
-            stats: CheckStats::default(),
-            findings: Vec::new(),
-            engine: "none",
-            verdict: Verdict::Incomplete {
-                explored: 0,
-                reason: format!("model panicked: {msg}"),
-            },
-            panicked: Some(msg),
         }
     })
+}
+
+/// The run of a model that panicked with `msg`: engine `"none"`, no
+/// findings, an `Incomplete` verdict and the message in
+/// [`ModelRun::panicked`].
+fn panicked_run(model_name: &'static str, msg: String) -> ModelRun {
+    ModelRun {
+        model_name,
+        stats: CheckStats::default(),
+        findings: Vec::new(),
+        engine: "none",
+        verdict: Verdict::Incomplete {
+            explored: 0,
+            reason: format!("model panicked: {msg}"),
+        },
+        panicked: Some(msg),
+    }
 }
 
 /// The engine ladder behind [`screen`].
@@ -573,23 +585,28 @@ pub fn load_specs(dir: &Path) -> Result<Vec<LoadedSpec>, String> {
 
 /// Screen one compiled spec with sequential BFS (the deterministic engine:
 /// spec runs feed goldens). All declared properties are checked in one
-/// sweep; each violated one becomes a [`Finding`].
+/// sweep; each violated one becomes a [`Finding`]. A panic is contained
+/// like [`screen`]'s.
 fn screen_spec(spec: &LoadedSpec, budget: ScreenBudget) -> ModelRun {
-    let result = check_rung(&spec.model, SearchStrategy::Bfs, budget);
-    let findings = result
-        .violations
-        .iter()
-        .map(|v| finding_from(&spec.model, spec.instance, v))
-        .collect();
-    let verdict = result.verdict();
-    ModelRun {
-        model_name: specl::intern::intern(&format!("spec:{} <{}>", spec.name, spec.file)),
-        stats: result.stats,
-        findings,
-        engine: "bfs",
-        verdict,
-        panicked: None,
-    }
+    let model_name = specl::intern::intern(&format!("spec:{} <{}>", spec.name, spec.file));
+    contain(|| {
+        let result = check_rung(&spec.model, SearchStrategy::Bfs, budget);
+        let findings = result
+            .violations
+            .iter()
+            .map(|v| finding_from(&spec.model, spec.instance, v))
+            .collect();
+        let verdict = result.verdict();
+        ModelRun {
+            model_name,
+            stats: result.stats,
+            findings,
+            engine: "bfs",
+            verdict,
+            panicked: None,
+        }
+    })
+    .unwrap_or_else(|msg| panicked_run(model_name, msg))
 }
 
 /// Run the screening phase over every `.specl` model under `dir`.
@@ -842,46 +859,52 @@ fn lattice_points(model: &SpecModel) -> Vec<(String, Vec<i64>, SpecModel)> {
 /// sequential BFS (deterministic — this run feeds the `--exp fivegs`
 /// golden). Errors if a point cannot be exhausted within `budget`: a
 /// truncated point would make the all-points/some-points split unsound.
+/// A model that panics at a point is an error naming the file and point.
 pub fn sweep_timer_scales(dir: &Path, budget: ScreenBudget) -> Result<Vec<TimingLattice>, String> {
-    let specs = load_specs(dir)?;
-    let mut out = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        let property = spec.instance.property();
-        let mut points = Vec::new();
-        let mut finding = None;
-        for (label, scales, model) in lattice_points(&spec.model) {
-            let result = check_rung(&model, SearchStrategy::Bfs, budget);
-            if !result.complete {
-                return Err(format!(
-                    "{}: lattice point `{label}` exhausted the screening budget — \
-                     the lattice verdict would be unsound",
-                    spec.file
-                ));
-            }
-            let v = result.violation(property);
-            if finding.is_none() {
-                if let Some(v) = v {
-                    finding = Some(finding_from(&model, spec.instance, v));
-                }
-            }
-            points.push(LatticePoint {
-                label,
-                scales,
-                violated: v.is_some(),
-                states: result.stats.unique_states,
-                witness: v.map(|v| v.path.len()),
-            });
+    load_specs(dir)?
+        .iter()
+        .map(|spec| sweep_spec(spec, budget))
+        .collect()
+}
+
+/// One spec's timing lattice (see [`sweep_timer_scales`]).
+fn sweep_spec(spec: &LoadedSpec, budget: ScreenBudget) -> Result<TimingLattice, String> {
+    let property = spec.instance.property();
+    let mut points = Vec::new();
+    let mut finding = None;
+    for (label, scales, model) in lattice_points(&spec.model) {
+        let result = contain(|| check_rung(&model, SearchStrategy::Bfs, budget)).map_err(|msg| {
+            format!("{}: lattice point `{label}` panicked: {msg}", spec.file)
+        })?;
+        if !result.complete {
+            return Err(format!(
+                "{}: lattice point `{label}` exhausted the screening budget — \
+                 the lattice verdict would be unsound",
+                spec.file
+            ));
         }
-        out.push(TimingLattice {
-            name: spec.name.clone(),
-            file: spec.file.clone(),
-            instance: spec.instance,
-            property: property.to_string(),
-            points,
-            finding,
+        let v = result.violation(property);
+        if finding.is_none() {
+            if let Some(v) = v {
+                finding = Some(finding_from(&model, spec.instance, v));
+            }
+        }
+        points.push(LatticePoint {
+            label,
+            scales,
+            violated: v.is_some(),
+            states: result.stats.unique_states,
+            witness: v.map(|v| v.path.len()),
         });
     }
-    Ok(out)
+    Ok(TimingLattice {
+        name: spec.name.clone(),
+        file: spec.file.clone(),
+        instance: spec.instance,
+        property: property.to_string(),
+        points,
+        finding,
+    })
 }
 
 /// One row of the corpus conformance table: canonical-print fixpoint plus
@@ -1192,5 +1215,39 @@ mod tests {
         assert!(!report.complete());
         // The healthy family's finding survives.
         assert!(report.finding(Instance::S2).is_some());
+    }
+
+    /// The shipped spec `name` under `specs/<sub>`, its first process sent
+    /// by its init block to a state that does not exist.
+    fn corrupted_spec(sub: &str, name: &str) -> LoadedSpec {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs").join(sub);
+        let mut spec = load_specs(&dir)
+            .expect("shipped specs load")
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("spec shipped");
+        let program = std::sync::Arc::get_mut(&mut spec.model.program).expect("sole owner");
+        program.procs[0].init_ops.push(specl::compile::Op::Goto(999));
+        spec
+    }
+
+    #[test]
+    fn spec_model_panics_are_contained_and_named() {
+        let spec = corrupted_spec("", "attach");
+        let run = screen_spec(&spec, ScreenBudget::default());
+        assert_eq!(run.model_name, "spec:attach <attach_s2.specl>");
+        assert_eq!(run.engine, "none");
+        assert!(run.findings.is_empty());
+        let msg = run.panicked.as_deref().expect("panic captured");
+        assert!(msg.contains("out of bounds"), "{msg}");
+        assert!(matches!(run.verdict, Verdict::Incomplete { explored: 0, .. }));
+
+        let spec = corrupted_spec("fivegs", "attach_timer_race");
+        let err = sweep_spec(&spec, ScreenBudget::default()).expect_err("panic surfaces");
+        assert!(
+            err.starts_with("attach_timer_race_s10.specl: lattice point `")
+                && err.contains("` panicked: "),
+            "{err}"
+        );
     }
 }

@@ -10,6 +10,7 @@
 //! instances S3/S4).
 
 use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 use std::time::Instant;
 
 /// How many transitions between wall-clock checks against the time budget;
@@ -17,7 +18,7 @@ use std::time::Instant;
 const TIME_CHECK_MASK: u64 = 0x3FF;
 
 use crate::checker::{ebits_for, split_properties, CheckResult, Checker, Violation};
-use crate::fingerprint::fingerprint_with_ebits;
+use crate::fingerprint::{fingerprint_with_ebits, Fx};
 use crate::model::Model;
 use crate::path::Path;
 use crate::stats::CheckStats;
@@ -59,7 +60,7 @@ struct Dfs<'a, M: Model> {
     /// detector). Fingerprint-keyed even in exact store modes: the stack is
     /// shallow, so a collision here is astronomically unlikely and only
     /// affects lasso classification, never state-space coverage.
-    on_stack: HashSet<u64>,
+    on_stack: HashSet<u64, BuildHasherDefault<Fx>>,
     stack: Vec<Frame<M>>,
     path: Option<Path<M::State, M::Action>>,
 }
@@ -84,7 +85,7 @@ impl<'a, M: Model> Dfs<'a, M> {
             violated_names: Vec::new(),
             complete: true,
             stop_reason: None,
-            on_stack: HashSet::new(),
+            on_stack: HashSet::default(),
             stack: Vec::new(),
             path: None,
         }

@@ -2,22 +2,22 @@
 //!
 //! The checker stores one `u64` per visited `(state, eventually-bits)` pair
 //! instead of the full state, the same memory-saving trick as Spin's
-//! hash-compact mode. A deterministic hasher (not `RandomState`) keeps runs
+//! hash-compact mode. Deterministic hashers (not `RandomState`) keep runs
 //! reproducible across processes.
+//!
+//! Two fingerprints exist. [`fingerprint_with_ebits`] keys the hash-compact
+//! store, DFS's stack set and the parallel engine's CAS table: it folds the
+//! state in one word at a time with `Fx` and finishes with `splitmix64`.
+//! The bitstate Bloom probes instead start from the byte-at-a-time FNV-1a
+//! `bloom_fingerprint`, so an over-filled bitstate run prunes the same
+//! states it always has.
 
 use std::hash::{Hash, Hasher};
 
-/// A 64-bit FNV-1a hasher. FNV is not cryptographic, and 64-bit
-/// fingerprinting is *not* collision-free at scale: over `n` visited states
-/// the expected number of colliding pairs is `n(n−1)/2 · 2⁻⁶⁴` — about
-/// 2.7 × 10⁻⁴ at 10⁸ states and ≈ 2.7 at 10¹⁰, where each collision silently
-/// prunes a genuinely new state. Runs that rely on fingerprint-only storage
-/// (hash-compact, bitstate) therefore report their expected omission
-/// probability in [`CheckStats`](crate::CheckStats::omission_probability)
-/// instead of assuming it away; the exact and collapse stores
-/// ([`StoreMode`](crate::StoreMode)) avoid the issue by construction.
-/// Unlike SipHash with `RandomState`, FNV is stable across runs, which keeps
-/// exploration reproducible.
+/// A 64-bit FNV-1a hasher: one multiply per byte. Not cryptographic, but
+/// stable across runs and platforms, unlike SipHash with `RandomState`. It
+/// backs [`fingerprint`], the bitstate probes and the collapse store's
+/// tuple index.
 #[derive(Clone, Debug)]
 pub struct Fnv1a(u64);
 
@@ -47,8 +47,8 @@ impl Hasher for Fnv1a {
 /// and a multiply, taking 8 bytes at a time, then 4, then single bytes.
 /// Far cheaper than SipHash on short keys and deterministic, but with no
 /// protection against crafted collisions, so it is for keys the program
-/// generates itself (the collapse store's component interners), never for
-/// outside input.
+/// generates itself (state fingerprints, the collapse store's component
+/// interners), never for outside input.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Fx(u64);
 
@@ -94,6 +94,17 @@ impl Hasher for Fx {
     }
 }
 
+/// SplitMix64's finalizer: every input bit reaches every output bit. It
+/// finishes [`fingerprint_with_ebits`], whose last Fx multiply leaves the
+/// low bits (the ones a table index keeps) depending only on low input
+/// bits, and it derives the Bloom probes' second hash stream.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
 /// Fingerprint a hashable value deterministically.
 pub fn fingerprint<T: Hash>(value: &T) -> u64 {
     let mut h = Fnv1a::default();
@@ -107,7 +118,27 @@ pub fn fingerprint<T: Hash>(value: &T) -> u64 {
 /// treated as a new node, otherwise a path that has already satisfied ◇p
 /// could mask a violating path through the same state. Mixing the mask into
 /// the fingerprint gives the product construction implicitly.
+///
+/// 64-bit fingerprints are *not* collision-free at scale: over `n` visited
+/// states the expected number of colliding pairs is `n(n−1)/2 · 2⁻⁶⁴`,
+/// about 2.7 × 10⁻⁴ at 10⁸ states and ≈ 2.7 at 10¹⁰, and each collision
+/// silently prunes a genuinely new state. Hash-compact runs therefore
+/// report that figure as their omission probability in
+/// [`CheckStats`](crate::CheckStats::omission_probability) instead of
+/// assuming it away; the exact and collapse stores
+/// ([`StoreMode`](crate::StoreMode)) avoid the issue by construction.
 pub fn fingerprint_with_ebits<T: Hash>(value: &T, ebits: u32) -> u64 {
+    let mut h = Fx::default();
+    value.hash(&mut h);
+    h.write_u32(ebits);
+    splitmix64(h.finish())
+}
+
+/// The FNV-1a fingerprint of a state and its eventually-bits that the
+/// bitstate stores derive their Bloom probes from. Where the probes land
+/// decides which states an over-filled run prunes, so it stays the
+/// byte-at-a-time hash those runs were pinned with.
+pub(crate) fn bloom_fingerprint<T: Hash>(value: &T, ebits: u32) -> u64 {
     let mut h = Fnv1a::default();
     value.hash(&mut h);
     ebits.hash(&mut h);
@@ -181,6 +212,15 @@ mod tests {
     fn collision_free_over_small_range() {
         use std::collections::HashSet;
         let fps: HashSet<u64> = (0u32..100_000).map(|i| fingerprint(&i)).collect();
+        assert_eq!(fps.len(), 100_000);
+    }
+
+    #[test]
+    fn state_fingerprints_collision_free_over_small_range() {
+        use std::collections::HashSet;
+        let fps: HashSet<u64> = (0u32..100_000)
+            .map(|i| fingerprint_with_ebits(&i, 0))
+            .collect();
         assert_eq!(fps.len(), 100_000);
     }
 }

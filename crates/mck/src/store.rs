@@ -37,7 +37,7 @@
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
 
-use crate::fingerprint::{fingerprint, fingerprint_with_ebits, Fx};
+use crate::fingerprint::{bloom_fingerprint, fingerprint, fingerprint_with_ebits, splitmix64, Fx};
 use crate::model::Model;
 use crate::stats::{StoreKind, StoreStats};
 
@@ -78,15 +78,6 @@ impl StoreMode {
             }
         }
     }
-}
-
-/// SplitMix64 — derives the second, independent hash stream for the Bloom
-/// probes from the primary FNV fingerprint.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 // ---------------------------------------------------------------------------
@@ -339,7 +330,9 @@ impl CollapseSet {
 // Bitstate: a plain (sequential) Bloom filter.
 // ---------------------------------------------------------------------------
 
-/// Sequential Bloom filter over `2^log2_bits` bits with `k` probes.
+/// Sequential Bloom filter over `2^log2_bits` bits with `k` probes. Probe
+/// `i` sits at `fp + i · (splitmix64(fp) | 1)` for the state's
+/// [`bloom_fingerprint`] `fp`.
 #[derive(Debug)]
 pub(crate) struct BitSet {
     words: Vec<u64>,
@@ -492,7 +485,9 @@ pub(crate) struct SeqStore {
 }
 
 enum SeqStoreInner {
-    HashCompact(HashSet<u64>),
+    /// Finished 64-bit fingerprints: the set's hasher only has to place
+    /// them, so it is the one-multiply [`Fx`] rather than SipHash.
+    HashCompact(HashSet<u64, BuildHasherDefault<Fx>>),
     Exact {
         set: HashSet<(Box<[u8]>, u32)>,
         payload_bytes: u64,
@@ -509,7 +504,9 @@ impl SeqStore {
             probe.map(|s| model.components(s, &mut comps)).unwrap_or(false);
         let arity = comps.len();
         let (inner, mode_label) = match mode {
-            StoreMode::HashCompact => (SeqStoreInner::HashCompact(HashSet::new()), "hash-compact"),
+            StoreMode::HashCompact => {
+                (SeqStoreInner::HashCompact(HashSet::default()), "hash-compact")
+            }
             StoreMode::Exact if componentized => (
                 SeqStoreInner::Exact {
                     set: HashSet::new(),
@@ -521,7 +518,7 @@ impl SeqStore {
                 (SeqStoreInner::Collapse(CollapseSet::new(arity)), "collapse")
             }
             StoreMode::Exact | StoreMode::Collapse => (
-                SeqStoreInner::HashCompact(HashSet::new()),
+                SeqStoreInner::HashCompact(HashSet::default()),
                 "hash-compact (model has no component split; exact/collapse unavailable)",
             ),
             StoreMode::Bitstate { log2_bits, hashes } => {
@@ -545,7 +542,7 @@ impl SeqStore {
     pub(crate) fn insert<M: Model>(&mut self, model: &M, state: &M::State, ebits: u32) -> bool {
         match &mut self.inner {
             SeqStoreInner::HashCompact(set) => set.insert(fingerprint_with_ebits(state, ebits)),
-            SeqStoreInner::Bitstate(bits) => bits.insert(fingerprint_with_ebits(state, ebits)),
+            SeqStoreInner::Bitstate(bits) => bits.insert(bloom_fingerprint(state, ebits)),
             SeqStoreInner::Exact { set, payload_bytes } => {
                 assert!(model.components(state, &mut self.comps), "probed componentized");
                 pack_components(&self.comps, &mut self.packed);
@@ -571,7 +568,7 @@ impl SeqStore {
     pub(crate) fn contains<M: Model>(&mut self, model: &M, state: &M::State, ebits: u32) -> bool {
         match &mut self.inner {
             SeqStoreInner::HashCompact(set) => set.contains(&fingerprint_with_ebits(state, ebits)),
-            SeqStoreInner::Bitstate(bits) => bits.contains(fingerprint_with_ebits(state, ebits)),
+            SeqStoreInner::Bitstate(bits) => bits.contains(bloom_fingerprint(state, ebits)),
             SeqStoreInner::Exact { set, .. } => {
                 assert!(model.components(state, &mut self.comps), "probed componentized");
                 pack_components(&self.comps, &mut self.packed);

@@ -77,7 +77,29 @@ pub struct Program {
     pub boundary: Option<CExpr>,
     /// Partial-order-reduction metadata derived during lowering.
     pub por: PorInfo,
+    /// Where each part of a [`SpecState`] sits among its cells.
+    cells: CellLayout,
 }
+
+/// Cell offsets of a [`SpecState`], computed once by [`lower`].
+#[derive(Debug)]
+struct CellLayout {
+    /// First variable cell; the cells before it are process locations.
+    vars: usize,
+    /// First cell of each channel's block.
+    chans: Vec<usize>,
+    /// First timer cell.
+    timers: usize,
+    /// Cells per state.
+    len: usize,
+}
+
+/// Offsets inside a channel's block of cells: queue length, remaining
+/// duplication budget, overflow count, then `cap` queue slots.
+const CHAN_LEN: usize = 0;
+const CHAN_DUP: usize = 1;
+const CHAN_LOST: usize = 2;
+const CHAN_QUEUE: usize = 3;
 
 /// Static independence facts driving [`mck::Model::reduced_actions`].
 ///
@@ -250,40 +272,24 @@ pub enum CExpr {
     Binary(BinOp, Box<CExpr>, Box<CExpr>),
 }
 
-/// One interpreter channel: queued message ids plus the mutable budget and
-/// overflow counters mirrored from [`mck::Chan`].
+/// A global interpreter state: one boxed slice of cells, so a clone is a
+/// single allocation. [`lower`] fixes the layout, in this order: one
+/// location per process, one value per variable slot (globals first), one
+/// block per channel (queue length, remaining duplication budget, overflow
+/// count, then `cap` queue slots, head first), and one [`timer_state`]
+/// cell per timer. A queue slot past the queue's length is always zero, so
+/// the derived equality and hash see only what the state holds.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ChanState {
-    /// Queued message ids, front first.
-    pub queue: Vec<u16>,
-    /// Remaining duplication budget.
-    pub dup_left: u8,
-    /// Messages dropped by sends onto a full lossy queue.
-    pub overflow: u32,
-}
+pub struct SpecState(Box<[i64]>);
 
-/// A global interpreter state: one location per process, one value per
-/// variable slot, one [`ChanState`] per channel.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SpecState {
-    /// Current state index of each process.
-    pub locs: Vec<u16>,
-    /// Variable values (globals first, then locals).
-    pub vars: Vec<i64>,
-    /// Channel contents.
-    pub chans: Vec<ChanState>,
-    /// Timer cells: 0 = idle, 1 = armed, 2 = expired (deadlines only).
-    pub timers: Vec<u8>,
-}
-
-/// Timer-cell values in [`SpecState::timers`].
+/// Timer-cell values of a [`SpecState`].
 pub mod timer_state {
     /// Not running.
-    pub const IDLE: u8 = 0;
+    pub const IDLE: i64 = 0;
     /// Running; eligible to fire when minimal among armed.
-    pub const ARMED: u8 = 1;
+    pub const ARMED: i64 = 1;
     /// A fired deadline (sticky).
-    pub const EXPIRED: u8 = 2;
+    pub const EXPIRED: i64 = 2;
 }
 
 /// A transition label of the interpreted model.
@@ -362,7 +368,7 @@ impl SpecModel {
     /// The minimal effective duration among armed timers, if any is armed.
     fn armed_min(&self, s: &SpecState) -> Option<i64> {
         (0..self.program.timers.len())
-            .filter(|&t| s.timers[t] == timer_state::ARMED)
+            .filter(|&t| self.program.timer(s, t) == timer_state::ARMED)
             .map(|t| self.effective_duration(t))
             .min()
     }
@@ -601,6 +607,22 @@ pub fn lower(spec: &Spec) -> SpecModel {
     let boundary = spec.boundary.as_ref().map(|b| lx(b, None));
     let por = analyze_por(&chans, &procs, &props, &boundary);
 
+    let mut next = procs.len() + vars.len();
+    let chan_cells = chans
+        .iter()
+        .map(|c| {
+            let at = next;
+            next += CHAN_QUEUE + c.cap;
+            at
+        })
+        .collect();
+    let cells = CellLayout {
+        vars: procs.len(),
+        chans: chan_cells,
+        timers: next,
+        len: next + timers.len(),
+    };
+
     let timer_scale = vec![1; timers.len()];
     SpecModel {
         program: Arc::new(Program {
@@ -614,6 +636,7 @@ pub fn lower(spec: &Spec) -> SpecModel {
             props,
             boundary,
             por,
+            cells,
         }),
         timer_scale,
     }
@@ -768,11 +791,53 @@ impl Program {
         self.vars.len() - self.procs.iter().map(|p| p.local_slots.len()).sum::<usize>()
     }
 
+    /// Process `pi`'s location (a state index).
+    fn loc(&self, s: &SpecState, pi: usize) -> usize {
+        s.0[pi] as usize
+    }
+
+    /// Variable slot `slot`'s value.
+    fn var(&self, s: &SpecState, slot: usize) -> i64 {
+        s.0[self.cells.vars + slot]
+    }
+
+    /// Timer `t`'s [`timer_state`] cell.
+    fn timer(&self, s: &SpecState, t: usize) -> i64 {
+        s.0[self.cells.timers + t]
+    }
+
+    /// Channel `ci`'s block of cells (see the `CHAN_*` offsets).
+    fn chan<'s>(&self, s: &'s SpecState, ci: usize) -> &'s [i64] {
+        let at = self.cells.chans[ci];
+        &s.0[at..at + CHAN_QUEUE + self.chans[ci].cap]
+    }
+
+    /// Channel `ci`'s queued message ids, head first.
+    fn queue<'s>(&self, s: &'s SpecState, ci: usize) -> &'s [i64] {
+        let c = self.chan(s, ci);
+        &c[CHAN_QUEUE..CHAN_QUEUE + c[CHAN_LEN] as usize]
+    }
+
+    /// Channel `ci`'s head message, if any.
+    fn head(&self, s: &SpecState, ci: usize) -> Option<u16> {
+        self.queue(s, ci).first().map(|&m| m as u16)
+    }
+
+    /// Remove channel `ci`'s head, zeroing the slot that frees.
+    fn pop(&self, s: &mut SpecState, ci: usize) {
+        let at = self.cells.chans[ci];
+        let q = at + CHAN_QUEUE;
+        let len = s.0[at + CHAN_LEN] as usize;
+        s.0.copy_within(q + 1..q + len, q);
+        s.0[q + len - 1] = 0;
+        s.0[at + CHAN_LEN] -= 1;
+    }
+
     fn eval(&self, e: &CExpr, s: &SpecState) -> i64 {
         match e {
             CExpr::Lit(n) => *n,
-            CExpr::Var(slot) => s.vars[*slot],
-            CExpr::AtLoc(p, loc) => (s.locs[*p] == *loc) as i64,
+            CExpr::Var(slot) => self.var(s, *slot),
+            CExpr::AtLoc(p, loc) => (self.loc(s, *p) == usize::from(*loc)) as i64,
             CExpr::Unary(op, inner) => {
                 let v = self.eval(inner, s);
                 match op {
@@ -811,28 +876,32 @@ impl Program {
                 Op::Set(slot, e) => {
                     let v = self.eval(e, s);
                     let d = &self.vars[*slot];
-                    s.vars[*slot] = v.clamp(d.lo, d.hi);
+                    s.0[self.cells.vars + *slot] = v.clamp(d.lo, d.hi);
                 }
                 Op::Send(ci, msg) => {
                     let def = &self.chans[*ci];
-                    let c = &mut s.chans[*ci];
-                    if c.queue.len() >= def.cap {
+                    let at = self.cells.chans[*ci];
+                    let len = s.0[at + CHAN_LEN] as usize;
+                    if len >= def.cap {
                         if def.lossy {
-                            c.overflow += 1;
+                            s.0[at + CHAN_LOST] += 1;
                         }
                     } else {
-                        c.queue.push(*msg);
+                        s.0[at + CHAN_QUEUE + len] = i64::from(*msg);
+                        s.0[at + CHAN_LEN] += 1;
                     }
                 }
-                Op::Goto(loc) => s.locs[pi] = *loc,
+                Op::Goto(loc) => s.0[pi] = i64::from(*loc),
                 Op::Start(t) => {
-                    if !(self.timers[*t].oneshot && s.timers[*t] == timer_state::EXPIRED) {
-                        s.timers[*t] = timer_state::ARMED;
+                    let cell = &mut s.0[self.cells.timers + *t];
+                    if !(self.timers[*t].oneshot && *cell == timer_state::EXPIRED) {
+                        *cell = timer_state::ARMED;
                     }
                 }
                 Op::Stop(t) => {
-                    if !(self.timers[*t].oneshot && s.timers[*t] == timer_state::EXPIRED) {
-                        s.timers[*t] = timer_state::IDLE;
+                    let cell = &mut s.0[self.cells.timers + *t];
+                    if !(self.timers[*t].oneshot && *cell == timer_state::EXPIRED) {
+                        *cell = timer_state::IDLE;
                     }
                 }
             }
@@ -843,7 +912,7 @@ impl Program {
     /// receiver's current location, by declaration order.
     fn matching_recv(&self, s: &SpecState, ci: usize, msg: u16) -> Option<(usize, usize)> {
         let pi = self.chans[ci].to;
-        let loc = s.locs[pi] as usize;
+        let loc = self.loc(s, pi);
         for (k, e) in self.procs[pi].states[loc].edges.iter().enumerate() {
             if e.trigger == (EdgeTrigger::Recv { chan: ci, msg }) {
                 let open = e.guard.as_ref().is_none_or(|g| self.eval_bool(g, s));
@@ -860,7 +929,7 @@ impl Program {
     /// holds; `None` means the expiry is consumed silently.
     fn matching_expire(&self, s: &SpecState, t: usize) -> Option<(usize, usize)> {
         for (pi, p) in self.procs.iter().enumerate() {
-            let loc = s.locs[pi] as usize;
+            let loc = self.loc(s, pi);
             for (k, e) in p.states[loc].edges.iter().enumerate() {
                 if e.trigger == (EdgeTrigger::Expire { timer: t }) {
                     let open = e.guard.as_ref().is_none_or(|g| self.eval_bool(g, s));
@@ -873,21 +942,18 @@ impl Program {
         None
     }
 
+    /// Every process at state 0, variables at their initial values, queues
+    /// empty with full duplication budgets, timers idle (a zero cell), and
+    /// then each process's init block run.
     fn initial_state(&self) -> SpecState {
-        let mut s = SpecState {
-            locs: vec![0; self.procs.len()],
-            vars: self.vars.iter().map(|v| v.init).collect(),
-            chans: self
-                .chans
-                .iter()
-                .map(|c| ChanState {
-                    queue: Vec::new(),
-                    dup_left: c.dup_budget,
-                    overflow: 0,
-                })
-                .collect(),
-            timers: vec![timer_state::IDLE; self.timers.len()],
-        };
+        let mut cells = vec![0; self.cells.len];
+        for (cell, v) in cells[self.cells.vars..].iter_mut().zip(&self.vars) {
+            *cell = v.init;
+        }
+        for (&at, c) in self.cells.chans.iter().zip(&self.chans) {
+            cells[at + CHAN_DUP] = i64::from(c.dup_budget);
+        }
+        let mut s = SpecState(cells.into_boxed_slice());
         for (pi, p) in self.procs.iter().enumerate() {
             let ops: &[Op] = &p.init_ops;
             self.exec(&mut s, pi, ops);
@@ -907,7 +973,7 @@ impl Model for SpecModel {
     fn actions(&self, s: &SpecState, out: &mut Vec<SpecAction>) {
         let prog = &*self.program;
         for (pi, p) in prog.procs.iter().enumerate() {
-            let loc = s.locs[pi] as usize;
+            let loc = prog.loc(s, pi);
             for (k, e) in p.states[loc].edges.iter().enumerate() {
                 if e.trigger == EdgeTrigger::When
                     && e.guard.as_ref().is_none_or(|g| prog.eval_bool(g, s))
@@ -921,8 +987,7 @@ impl Model for SpecModel {
             }
         }
         for (ci, c) in prog.chans.iter().enumerate() {
-            let cs = &s.chans[ci];
-            let Some(&head) = cs.queue.first() else {
+            let Some(head) = prog.head(s, ci) else {
                 continue;
             };
             out.push(SpecAction::Deliver {
@@ -935,7 +1000,7 @@ impl Model for SpecModel {
                     msg: head,
                 });
             }
-            if c.duplicating && cs.dup_left > 0 {
+            if c.duplicating && prog.chan(s, ci)[CHAN_DUP] > 0 {
                 out.push(SpecAction::Dup {
                     chan: ci as u16,
                     msg: head,
@@ -944,7 +1009,7 @@ impl Model for SpecModel {
         }
         if let Some(min) = self.armed_min(s) {
             for t in 0..prog.timers.len() {
-                if s.timers[t] == timer_state::ARMED && self.effective_duration(t) == min {
+                if prog.timer(s, t) == timer_state::ARMED && self.effective_duration(t) == min {
                     out.push(SpecAction::TimerFire { timer: t as u16 });
                 }
             }
@@ -956,7 +1021,7 @@ impl Model for SpecModel {
         match *a {
             SpecAction::Edge { proc, state, edge } => {
                 let pi = proc as usize;
-                if s.locs[pi] != state {
+                if prog.loc(s, pi) != usize::from(state) {
                     return None;
                 }
                 let e = prog.procs[pi].states[state as usize].edges.get(edge as usize)?;
@@ -974,13 +1039,13 @@ impl Model for SpecModel {
             }
             SpecAction::Deliver { chan, msg } => {
                 let ci = chan as usize;
-                if s.chans[ci].queue.first() != Some(&msg) {
+                if prog.head(s, ci) != Some(msg) {
                     return None;
                 }
                 let mut n = s.clone();
-                n.chans[ci].queue.remove(0);
+                prog.pop(&mut n, ci);
                 if let Some((pi, k)) = prog.matching_recv(s, ci, msg) {
-                    let loc = s.locs[pi] as usize;
+                    let loc = prog.loc(s, pi);
                     // Split borrow: clone not needed, ops indexed directly.
                     let ops = &prog.procs[pi].states[loc].edges[k].ops;
                     prog.exec(&mut n, pi, ops);
@@ -989,25 +1054,25 @@ impl Model for SpecModel {
             }
             SpecAction::Drop { chan, msg } => {
                 let ci = chan as usize;
-                if !prog.chans[ci].lossy || s.chans[ci].queue.first() != Some(&msg) {
+                if !prog.chans[ci].lossy || prog.head(s, ci) != Some(msg) {
                     return None;
                 }
                 let mut n = s.clone();
-                n.chans[ci].queue.remove(0);
+                prog.pop(&mut n, ci);
                 Some(n)
             }
             SpecAction::Dup { chan, msg } => {
                 let ci = chan as usize;
                 let ok = prog.chans[ci].duplicating
-                    && s.chans[ci].dup_left > 0
-                    && s.chans[ci].queue.first() == Some(&msg);
+                    && prog.chan(s, ci)[CHAN_DUP] > 0
+                    && prog.head(s, ci) == Some(msg);
                 if !ok {
                     return None;
                 }
                 let mut n = s.clone();
-                n.chans[ci].dup_left -= 1;
+                n.0[prog.cells.chans[ci] + CHAN_DUP] -= 1;
                 if let Some((pi, k)) = prog.matching_recv(s, ci, msg) {
-                    let loc = s.locs[pi] as usize;
+                    let loc = prog.loc(s, pi);
                     let ops = &prog.procs[pi].states[loc].edges[k].ops;
                     prog.exec(&mut n, pi, ops);
                 }
@@ -1015,19 +1080,20 @@ impl Model for SpecModel {
             }
             SpecAction::TimerFire { timer } => {
                 let t = timer as usize;
-                let ok = s.timers.get(t) == Some(&timer_state::ARMED)
+                let ok = t < prog.timers.len()
+                    && prog.timer(s, t) == timer_state::ARMED
                     && self.armed_min(s) == Some(self.effective_duration(t));
                 if !ok {
                     return None;
                 }
                 let mut n = s.clone();
-                n.timers[t] = if prog.timers[t].oneshot {
+                n.0[prog.cells.timers + t] = if prog.timers[t].oneshot {
                     timer_state::EXPIRED
                 } else {
                     timer_state::IDLE
                 };
                 if let Some((pi, k)) = prog.matching_expire(s, t) {
-                    let loc = s.locs[pi] as usize;
+                    let loc = prog.loc(s, pi);
                     let ops = &prog.procs[pi].states[loc].edges[k].ops;
                     prog.exec(&mut n, pi, ops);
                 }
@@ -1069,103 +1135,95 @@ impl Model for SpecModel {
     fn components(&self, s: &SpecState, out: &mut Vec<Vec<u8>>) -> bool {
         let prog = &*self.program;
         let timer_comps = usize::from(!prog.timers.is_empty());
-        out.resize_with(1 + prog.procs.len() + s.chans.len() + timer_comps, Vec::new);
+        out.resize_with(1 + prog.procs.len() + prog.chans.len() + timer_comps, Vec::new);
         let (g, rest) = out.split_first_mut().expect("the globals component");
         g.clear();
         for slot in 0..prog.global_count() {
-            g.extend_from_slice(&s.vars[slot].to_le_bytes());
+            g.extend_from_slice(&prog.var(s, slot).to_le_bytes());
         }
         let (procs, rest) = rest.split_at_mut(prog.procs.len());
         for ((pi, p), c) in prog.procs.iter().enumerate().zip(procs) {
             c.clear();
-            c.extend_from_slice(&s.locs[pi].to_le_bytes());
+            c.extend_from_slice(&(prog.loc(s, pi) as u16).to_le_bytes());
             for slot in p.local_slots.clone() {
-                c.extend_from_slice(&s.vars[slot].to_le_bytes());
+                c.extend_from_slice(&prog.var(s, slot).to_le_bytes());
             }
         }
-        let (chans, timers) = rest.split_at_mut(s.chans.len());
-        for (cs, c) in s.chans.iter().zip(chans) {
+        let (chans, timers) = rest.split_at_mut(prog.chans.len());
+        for (ci, c) in chans.iter_mut().enumerate() {
+            let (block, queue) = (prog.chan(s, ci), prog.queue(s, ci));
             c.clear();
-            c.push(cs.dup_left);
-            c.extend_from_slice(&cs.overflow.to_le_bytes());
-            c.extend_from_slice(&(cs.queue.len() as u16).to_le_bytes());
-            for &m in &cs.queue {
-                c.extend_from_slice(&m.to_le_bytes());
+            c.push(block[CHAN_DUP] as u8);
+            c.extend_from_slice(&(block[CHAN_LOST] as u32).to_le_bytes());
+            c.extend_from_slice(&(queue.len() as u16).to_le_bytes());
+            for &m in queue {
+                c.extend_from_slice(&(m as u16).to_le_bytes());
             }
         }
         if let Some(t) = timers.first_mut() {
             t.clear();
-            t.extend_from_slice(&s.timers);
+            t.extend((0..prog.timers.len()).map(|ti| prog.timer(s, ti) as u8));
         }
         true
     }
 
+    /// The inverse of [`SpecModel::components`]. `None` for anything
+    /// `components` cannot produce: a wrong arity or length, a queue longer
+    /// than its channel's capacity, or a timer cell out of range.
     fn reassemble(&self, comps: &[Vec<u8>]) -> Option<SpecState> {
         let prog = &*self.program;
+        let layout = &prog.cells;
         let timer_comps = usize::from(!prog.timers.is_empty());
         if comps.len() != 1 + prog.procs.len() + prog.chans.len() + timer_comps {
             return None;
         }
-        let n_globals = prog.global_count();
-        let mut vars = vec![0i64; prog.vars.len()];
+        let mut cells = vec![0; layout.len];
         let g = &comps[0];
-        if g.len() != n_globals * 8 {
+        if g.len() != prog.global_count() * 8 {
             return None;
         }
-        for (i, chunk) in g.chunks_exact(8).enumerate() {
-            vars[i] = i64::from_le_bytes(chunk.try_into().ok()?);
+        for (cell, chunk) in cells[layout.vars..].iter_mut().zip(g.chunks_exact(8)) {
+            *cell = i64::from_le_bytes(chunk.try_into().ok()?);
         }
-        let mut locs = vec![0u16; prog.procs.len()];
         for (pi, p) in prog.procs.iter().enumerate() {
             let c = &comps[1 + pi];
             if c.len() != 2 + p.local_slots.len() * 8 {
                 return None;
             }
-            locs[pi] = u16::from_le_bytes([c[0], c[1]]);
-            for (j, slot) in p.local_slots.clone().enumerate() {
-                let off = 2 + j * 8;
-                vars[slot] = i64::from_le_bytes(c[off..off + 8].try_into().ok()?);
+            cells[pi] = i64::from(u16::from_le_bytes([c[0], c[1]]));
+            for (slot, chunk) in p.local_slots.clone().zip(c[2..].chunks_exact(8)) {
+                cells[layout.vars + slot] = i64::from_le_bytes(chunk.try_into().ok()?);
             }
         }
-        let mut chans = Vec::with_capacity(prog.chans.len());
-        for ci in 0..prog.chans.len() {
+        for (ci, def) in prog.chans.iter().enumerate() {
             let c = &comps[1 + prog.procs.len() + ci];
             if c.len() < 7 {
                 return None;
             }
-            let dup_left = c[0];
-            let overflow = u32::from_le_bytes(c[1..5].try_into().ok()?);
             let qlen = usize::from(u16::from_le_bytes([c[5], c[6]]));
-            if c.len() != 7 + qlen * 2 {
+            if c.len() != 7 + qlen * 2 || qlen > def.cap {
                 return None;
             }
-            let queue = c[7..]
-                .chunks_exact(2)
-                .map(|b| u16::from_le_bytes([b[0], b[1]]))
-                .collect();
-            chans.push(ChanState {
-                queue,
-                dup_left,
-                overflow,
-            });
+            let block = &mut cells[layout.chans[ci]..];
+            block[CHAN_LEN] = qlen as i64;
+            block[CHAN_DUP] = i64::from(c[0]);
+            block[CHAN_LOST] = i64::from(u32::from_le_bytes(c[1..5].try_into().ok()?));
+            for (slot, m) in block[CHAN_QUEUE..].iter_mut().zip(c[7..].chunks_exact(2)) {
+                *slot = i64::from(u16::from_le_bytes([m[0], m[1]]));
+            }
         }
-        let timers = if timer_comps == 1 {
+        if timer_comps == 1 {
             let c = comps.last()?;
             if c.len() != prog.timers.len()
-                || c.iter().any(|&b| b > timer_state::EXPIRED)
+                || c.iter().any(|&b| i64::from(b) > timer_state::EXPIRED)
             {
                 return None;
             }
-            c.clone()
-        } else {
-            Vec::new()
-        };
-        Some(SpecState {
-            locs,
-            vars,
-            chans,
-            timers,
-        })
+            for (cell, &b) in cells[layout.timers..].iter_mut().zip(c) {
+                *cell = i64::from(b);
+            }
+        }
+        Some(SpecState(cells.into_boxed_slice()))
     }
 
     /// Ample set from the lowering's [`PorInfo`]: the enabled `when` edges
@@ -1177,7 +1235,7 @@ impl Model for SpecModel {
             if !prog.por.independent[pi] {
                 continue;
             }
-            let loc = s.locs[pi] as usize;
+            let loc = prog.loc(s, pi);
             if !prog.por.ample_locs[pi][loc] {
                 continue;
             }
@@ -1212,7 +1270,7 @@ impl Model for SpecModel {
             if pi > 0 {
                 out.push(' ');
             }
-            let _ = write!(out, "{}@{}", p.name, p.states[s.locs[pi] as usize].name);
+            let _ = write!(out, "{}@{}", p.name, p.states[prog.loc(s, pi)].name);
             if !p.local_slots.is_empty() {
                 out.push('{');
                 for (j, slot) in p.local_slots.clone().enumerate() {
@@ -1221,7 +1279,7 @@ impl Model for SpecModel {
                     }
                     let d = &prog.vars[slot];
                     let local = d.name.rsplit('.').next().unwrap_or(&d.name);
-                    let _ = write!(out, "{}={}", local, render_val(d, s.vars[slot]));
+                    let _ = write!(out, "{}={}", local, render_val(d, prog.var(s, slot)));
                 }
                 out.push('}');
             }
@@ -1231,22 +1289,26 @@ impl Model for SpecModel {
             out.push_str(" |");
             for slot in 0..n_globals {
                 let d = &prog.vars[slot];
-                let _ = write!(out, " {}={}", d.name, render_val(d, s.vars[slot]));
+                let _ = write!(out, " {}={}", d.name, render_val(d, prog.var(s, slot)));
             }
         }
         for (ci, c) in prog.chans.iter().enumerate() {
-            let cs = &s.chans[ci];
-            let msgs: Vec<&str> = cs.queue.iter().map(|&m| prog.msgs[m as usize].as_str()).collect();
+            let block = prog.chan(s, ci);
+            let msgs: Vec<&str> = prog
+                .queue(s, ci)
+                .iter()
+                .map(|&m| prog.msgs[m as usize].as_str())
+                .collect();
             let _ = write!(out, " | {}=[{}]", c.name, msgs.join(","));
             if c.duplicating {
-                let _ = write!(out, " dup={}", cs.dup_left);
+                let _ = write!(out, " dup={}", block[CHAN_DUP]);
             }
             if c.lossy {
-                let _ = write!(out, " lost={}", cs.overflow);
+                let _ = write!(out, " lost={}", block[CHAN_LOST]);
             }
         }
         for (ti, t) in prog.timers.iter().enumerate() {
-            let cell = match s.timers[ti] {
+            let cell = match prog.timer(s, ti) {
                 timer_state::ARMED => "armed",
                 timer_state::EXPIRED => "expired",
                 _ => "idle",
@@ -1354,11 +1416,11 @@ never RallyDone: p @ Done;
              proc b { state T { } }",
         )
         .unwrap();
-        let s = model.init_states().remove(0);
-        assert_eq!(s.chans[0].queue, vec![0]);
-        assert_eq!(s.chans[0].overflow, 1, "lossy overflow is counted state");
-        assert_eq!(s.chans[1].queue, vec![0]);
-        assert_eq!(s.chans[1].overflow, 0, "reliable full send vanishes silently");
+        let (prog, s) = (&*model.program, model.init_states().remove(0));
+        assert_eq!(prog.queue(&s, 0), [0]);
+        assert_eq!(prog.chan(&s, 0)[CHAN_LOST], 1, "lossy overflow is counted state");
+        assert_eq!(prog.queue(&s, 1), [0]);
+        assert_eq!(prog.chan(&s, 1)[CHAN_LOST], 0, "reliable full send vanishes silently");
     }
 
     #[test]
@@ -1374,9 +1436,10 @@ never RallyDone: p @ Done;
         let s0 = model.init_states().remove(0);
         let dup = SpecAction::Dup { chan: 0, msg: 0 };
         let s1 = model.next_state(&s0, &dup).expect("dup enabled");
-        assert_eq!(s1.chans[0].queue, vec![0], "message stays queued");
-        assert_eq!(s1.chans[0].dup_left, 0);
-        assert_eq!(s1.vars[0], 1, "receiver handled the duplicate");
+        let prog = &*model.program;
+        assert_eq!(prog.queue(&s1, 0), [0], "message stays queued");
+        assert_eq!(prog.chan(&s1, 0)[CHAN_DUP], 0);
+        assert_eq!(prog.var(&s1, 0), 1, "receiver handled the duplicate");
         assert!(model.next_state(&s1, &dup).is_none(), "budget exhausted");
     }
 
@@ -1393,8 +1456,29 @@ never RallyDone: p @ Done;
         let s1 = model
             .next_state(&s0, &SpecAction::Deliver { chan: 0, msg: 1 })
             .expect("deliver enabled");
-        assert!(s1.chans[0].queue.is_empty(), "message consumed");
-        assert_eq!(s1.locs[1], 0, "receiver unmoved by unexpected message");
+        assert!(model.program.queue(&s1, 0).is_empty(), "message consumed");
+        assert_eq!(model.program.loc(&s1, 1), 0, "receiver unmoved by unexpected message");
+    }
+
+    #[test]
+    fn a_pop_zeroes_the_slot_it_frees() {
+        let model = compile(
+            "spec t; msg M, N;
+             chan c from a to b cap 2;
+             proc a { init { send c N; send c N; } state S { } }
+             proc b { state T { } }",
+        )
+        .unwrap();
+        let s0 = model.init_states().remove(0);
+        let s1 = model
+            .next_state(&s0, &SpecAction::Deliver { chan: 0, msg: 1 })
+            .expect("deliver enabled");
+        assert_eq!(model.program.queue(&s1, 0), [1]);
+        // Rebuilt from its components, the state has nothing past the
+        // queue's end; only a zeroed slot makes the two equal.
+        let mut comps = Vec::new();
+        assert!(model.components(&s1, &mut comps));
+        assert_eq!(model.reassemble(&comps), Some(s1));
     }
 
     #[test]
@@ -1406,7 +1490,7 @@ never RallyDone: p @ Done;
         )
         .unwrap();
         let s0 = model.init_states().remove(0);
-        assert_eq!(s0.vars[0], 0, "clamped at the floor");
+        assert_eq!(model.program.var(&s0, 0), 0, "clamped at the floor");
         let s1 = model
             .next_state(
                 &s0,
@@ -1417,7 +1501,7 @@ never RallyDone: p @ Done;
                 },
             )
             .unwrap();
-        assert_eq!(s1.vars[0], 3, "clamped at the ceiling");
+        assert_eq!(model.program.var(&s1, 0), 3, "clamped at the ceiling");
     }
 
     #[test]
@@ -1491,6 +1575,11 @@ never RallyDone: p @ Done;
         let last = bad.len() - 1;
         bad[last].truncate(3);
         assert!(model.reassemble(&bad).is_none(), "truncated channel");
+        // `up` holds one Ping at cap 1: claim two, with the bytes to match.
+        let mut bad = comps.clone();
+        bad[3][5..7].copy_from_slice(&2u16.to_le_bytes());
+        bad[3].extend_from_slice(&0u16.to_le_bytes());
+        assert!(model.reassemble(&bad).is_none(), "queue longer than its capacity");
     }
 
     const POR_SPEC: &str = "
@@ -1649,7 +1738,11 @@ never LongBeatsShort: fired_long && !fired_short;
         let s1 = model
             .next_state(&s0, &SpecAction::TimerFire { timer: 0 })
             .expect("armed deadline fires");
-        assert_eq!(s1.timers[0], timer_state::EXPIRED, "restart in the body is a no-op");
+        assert_eq!(
+            model.program.timer(&s1, 0),
+            timer_state::EXPIRED,
+            "restart in the body is a no-op"
+        );
         assert!(
             model.next_state(&s1, &SpecAction::TimerFire { timer: 0 }).is_none(),
             "an expired deadline never fires again"
@@ -1658,7 +1751,7 @@ never LongBeatsShort: fired_long && !fired_short;
             .next_state(&s1, &SpecAction::Edge { proc: 0, state: 1, edge: 0 })
             .expect("when edge enabled");
         assert_eq!(
-            s2.timers[0],
+            model.program.timer(&s2, 0),
             timer_state::EXPIRED,
             "stop/start leave an expired deadline expired"
         );
@@ -1680,12 +1773,13 @@ never LongBeatsShort: fired_long && !fired_short;
         .unwrap();
         let fire = SpecAction::TimerFire { timer: 0 };
         let s0 = model.init_states().remove(0);
+        let prog = &*model.program;
         let s1 = model.next_state(&s0, &fire).expect("fires");
-        assert_eq!((s1.vars[0], s1.timers[0]), (1, timer_state::ARMED), "rearmed");
+        assert_eq!((prog.var(&s1, 0), prog.timer(&s1, 0)), (1, timer_state::ARMED), "rearmed");
         let s2 = model.next_state(&s1, &fire).expect("fires again");
         let s3 = model.next_state(&s2, &fire).expect("guard now false; silent");
-        assert_eq!(s3.vars[0], 2, "unmatched expiry runs no body");
-        assert_eq!(s3.timers[0], timer_state::IDLE, "consumed without rearm");
+        assert_eq!(prog.var(&s3, 0), 2, "unmatched expiry runs no body");
+        assert_eq!(prog.timer(&s3, 0), timer_state::IDLE, "consumed without rearm");
         assert!(model.next_state(&s3, &fire).is_none(), "idle timers never fire");
         let result = Checker::new(model).strategy(SearchStrategy::Bfs).run();
         assert!(result.complete, "timer cycles stay finite-state");
