@@ -43,7 +43,10 @@
 //! Effective durations are the declared ones multiplied per-timer by
 //! [`SpecModel::with_timer_scale`]; sweeping those factors is how the
 //! screening pipeline asks "which races survive when this timer is slow
-//! and that one is fast?" without adding a single bit of state.
+//! and that one is fast?" without adding a single bit of state. Scales
+//! matter only through how they order timers that can be armed in the
+//! same state, so two scalings that order every such pair alike give the
+//! same model ([`SpecModel::fires_like`]).
 
 use std::sync::Arc;
 
@@ -79,6 +82,9 @@ pub struct Program {
     pub por: PorInfo,
     /// Where each part of a [`SpecState`] sits among its cells.
     cells: CellLayout,
+    /// Timer pairs `(t, u)`, `t < u`, that may be armed in one reachable
+    /// state ([`co_armed_pairs`]).
+    co_armed: Vec<(usize, usize)>,
 }
 
 /// Cell offsets of a [`SpecState`], computed once by [`lower`].
@@ -361,6 +367,20 @@ impl SpecModel {
         Some(scaled)
     }
 
+    /// True when both models interpret the same lowered program and their
+    /// effective durations order every pair of timers that may be armed
+    /// together the same way, a tie counting as its own outcome. A timer
+    /// fires only by comparison with the timers armed beside it, so such
+    /// models enable the same actions in every reachable state: their
+    /// reachable graphs, and any exhaustive run over them, are identical.
+    pub fn fires_like(&self, other: &SpecModel) -> bool {
+        Arc::ptr_eq(&self.program, &other.program)
+            && self.program.co_armed.iter().all(|&(t, u)| {
+                self.effective_duration(t).cmp(&self.effective_duration(u))
+                    == other.effective_duration(t).cmp(&other.effective_duration(u))
+            })
+    }
+
     fn effective_duration(&self, t: usize) -> i64 {
         self.program.timers[t].duration.saturating_mul(self.timer_scale[t])
     }
@@ -606,6 +626,7 @@ pub fn lower(spec: &Spec) -> SpecModel {
         .collect();
     let boundary = spec.boundary.as_ref().map(|b| lx(b, None));
     let por = analyze_por(&chans, &procs, &props, &boundary);
+    let co_armed = co_armed_pairs(&procs, timers.len());
 
     let mut next = procs.len() + vars.len();
     let chan_cells = chans
@@ -637,6 +658,7 @@ pub fn lower(spec: &Spec) -> SpecModel {
             boundary,
             por,
             cells,
+            co_armed,
         }),
         timer_scale,
     }
@@ -783,6 +805,88 @@ fn analyze_por(
         independent,
         ample_locs,
     }
+}
+
+/// The timer pairs `(t, u)`, `t < u`, that may be armed in one reachable
+/// state.
+///
+/// A timer is *owned* by a process when every `start`/`stop` of it and
+/// every `expire` edge for it lie in that process. For each process the
+/// analysis bounds which timers may be armed at each of its locations:
+/// it starts from the init block's ops and final `goto`, then walks every
+/// edge until nothing changes, ignoring guards. An `expire t` edge first
+/// clears `t`, which just fired, then applies its `start`/`stop`/`goto`
+/// ops in order. The bound holds for the owned timers in every reachable
+/// state because no other process starts or stops them, a silent expiry
+/// only disarms one, and only the owner's `goto`s move it. So two timers
+/// owned by one process are co-armable only when one of its locations may
+/// hold both; every other pair is. A spurious pair can only cost
+/// [`SpecModel::fires_like`] a match, never change a model.
+fn co_armed_pairs(procs: &[ProcDef], n_timers: usize) -> Vec<(usize, usize)> {
+    let touches = |p: &ProcDef, t: usize| {
+        let in_ops = |ops: &[Op]| {
+            ops.iter()
+                .any(|op| matches!(op, Op::Start(u) | Op::Stop(u) if *u == t))
+        };
+        in_ops(&p.init_ops)
+            || p.states.iter().flat_map(|s| &s.edges).any(|e| {
+                e.trigger == (EdgeTrigger::Expire { timer: t }) || in_ops(&e.ops)
+            })
+    };
+    let owner: Vec<Option<usize>> = (0..n_timers)
+        .map(|t| {
+            let mut by = procs.iter().enumerate().filter(|(_, p)| touches(p, t));
+            match (by.next(), by.next()) {
+                (Some((pi, _)), None) => Some(pi),
+                _ => None,
+            }
+        })
+        .collect();
+    let may: Vec<Vec<Vec<bool>>> = procs.iter().map(|p| may_be_armed(p, n_timers)).collect();
+    (0..n_timers)
+        .flat_map(|t| (t + 1..n_timers).map(move |u| (t, u)))
+        .filter(|&(t, u)| match (owner[t], owner[u]) {
+            (Some(p), Some(q)) if p == q => may[p].iter().any(|at| at[t] && at[u]),
+            _ => true,
+        })
+        .collect()
+}
+
+/// Per location of `p`, the timers that `p`'s own ops may leave armed
+/// while `p` is there (see [`co_armed_pairs`]).
+fn may_be_armed(p: &ProcDef, n_timers: usize) -> Vec<Vec<bool>> {
+    fn apply(ops: &[Op], armed: &mut [bool], loc: &mut usize) {
+        for op in ops {
+            match *op {
+                Op::Start(t) => armed[t] = true,
+                Op::Stop(t) => armed[t] = false,
+                Op::Goto(l) => *loc = usize::from(l),
+                Op::Set(..) | Op::Send(..) => {}
+            }
+        }
+    }
+    let mut may = vec![vec![false; n_timers]; p.states.len()];
+    let (mut armed, mut loc) = (vec![false; n_timers], 0);
+    apply(&p.init_ops, &mut armed, &mut loc);
+    may[loc] = armed;
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for (from, s) in p.states.iter().enumerate() {
+            for e in &s.edges {
+                let (mut armed, mut to) = (may[from].clone(), from);
+                if let EdgeTrigger::Expire { timer } = e.trigger {
+                    armed[timer] = false;
+                }
+                apply(&e.ops, &mut armed, &mut to);
+                for (at, a) in may[to].iter_mut().zip(armed) {
+                    changed |= a && !*at;
+                    *at |= a;
+                }
+            }
+        }
+    }
+    may
 }
 
 impl Program {
@@ -1715,6 +1819,66 @@ never LongBeatsShort: fired_long && !fired_short;
         );
         assert!(model.with_timer_scale("nosuch", 2).is_none());
         assert!(model.with_timer_scale("short", 0).is_none());
+    }
+
+    #[test]
+    fn fires_like_tells_a_tie_from_either_order() {
+        let base = compile(TIMED).unwrap();
+        assert_eq!(base.program.co_armed, [(0, 1)], "both armed at Waiting");
+        let short_x = |f| base.with_timer_scale("short", f).unwrap();
+        assert!(base.fires_like(&short_x(2)), "10 < 20 orders like 5 < 20");
+        let (tie, flipped) = (short_x(4), short_x(8));
+        assert!(!base.fires_like(&tie), "20 == 20 is its own outcome");
+        assert!(!tie.fires_like(&flipped));
+        assert!(!flipped.fires_like(&base), "40 > 20 flips the order");
+        assert!(flipped.fires_like(&short_x(16)));
+    }
+
+    #[test]
+    fn models_of_different_programs_never_fire_alike() {
+        let (a, b) = (compile(TIMED).unwrap(), compile(TIMED).unwrap());
+        assert!(a.fires_like(&a.clone()));
+        assert!(!a.fires_like(&b), "same source, two lowered programs");
+    }
+
+    #[test]
+    fn t3410_and_t3412_are_never_co_armed() {
+        let model =
+            compile(include_str!("../../../specs/fivegs/attach_timer_race_s10.specl")).unwrap();
+        let timers: Vec<&str> = model.program.timers.iter().map(|t| t.name.as_str()).collect();
+        assert_eq!(timers, ["t3410", "t3412"]);
+        // T3412 starts as T3410 stops, and T3410 restarts only once T3412
+        // has fired, so every scaling runs the same model.
+        assert!(model.program.co_armed.is_empty());
+        let stretched = model.with_timer_scale("t3410", 4).unwrap();
+        assert!(model.fires_like(&stretched));
+    }
+
+    #[test]
+    fn only_pairs_within_one_owner_can_be_apart() {
+        // `a` owns `ta` and `later` and never arms both; `b` owns `tb`,
+        // which it only arms after `ta` fired, yet the analysis does not
+        // follow messages between processes. `shared` is started in `a`
+        // and stopped in `b`, and `idle` is never used: neither has an
+        // owner.
+        let model = compile(
+            "spec t; msg Go;
+             chan c from a to b cap 1;
+             timer ta = 1; timer tb = 2; timer shared = 3; timer idle = 4; timer later = 5;
+             proc a {
+                 init { start ta; }
+                 state S { expire ta { send c Go; start shared; start later; goto T; } }
+                 state T { expire later { } }
+             }
+             proc b {
+                 state W { recv c Go { start tb; stop shared; } }
+             }",
+        )
+        .unwrap();
+        let all: Vec<(usize, usize)> =
+            (0..5).flat_map(|t| (t + 1..5).map(move |u| (t, u))).collect();
+        let apart = all.iter().copied().filter(|p| !model.program.co_armed.contains(p));
+        assert_eq!(apart.collect::<Vec<_>>(), [(0, 4)], "only ta and later");
     }
 
     #[test]
