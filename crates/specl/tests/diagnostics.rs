@@ -3,6 +3,10 @@
 //! line, and point at the offending tokens with a caret run — the
 //! acceptance bar for the specl front-end's error reporting.
 
+use std::fs;
+use std::panic;
+use std::path::Path;
+
 use specl::{compile, render_diagnostics};
 
 fn rendered(file: &str, source: &str) -> String {
@@ -79,4 +83,105 @@ fn diagnostics_display_is_line_col_message() {
     let shown = diags[0].to_string();
     assert!(shown.starts_with("2:"), "{shown}");
     assert!(shown.contains("empty range") || shown.contains("range"), "{shown}");
+}
+
+/// Every shipped `.specl` file as `(file name, source)`, from `specs/`,
+/// `specs/fivegs/` and `specs/remedies/`.
+fn shipped_specs() -> Vec<(String, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let mut files = Vec::new();
+    for dir in [root.clone(), root.join("fivegs"), root.join("remedies")] {
+        for entry in fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|x| x == "specl") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+        .into_iter()
+        .map(|p| {
+            let name = p.file_name().expect("file name").to_string_lossy().into_owned();
+            (name, fs::read_to_string(&p).expect("spec readable"))
+        })
+        .collect()
+}
+
+/// A SplitMix64 stream, so the sampled inputs are fixed by the seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    }
+}
+
+/// `compile(source)` returns without panicking, and an `Err` renders one
+/// `file:line:col` location and one caret run per diagnostic.
+fn assert_compiles_or_renders(file: &str, source: &str, input: &str) {
+    let compiled = panic::catch_unwind(|| compile(source))
+        .unwrap_or_else(|_| panic!("{input} of {file} panicked; the input was:\n{source}"));
+    let Err(diags) = compiled else { return };
+    assert!(!diags.is_empty(), "{input} of {file}: an error with no diagnostic");
+    let out = render_diagnostics(&diags, file, source);
+    for d in &diags {
+        let at = format!("--> {file}:{}:{}", d.span.line, d.span.col);
+        assert!(out.contains(&at), "{input} of {file}: no `{at}` in\n{out}");
+    }
+    let carets = out.lines().filter(|l| l.ends_with('^')).count();
+    assert_eq!(carets, diags.len(), "{input} of {file}: one caret run each in\n{out}");
+}
+
+/// Text spliced in at a token boundary: punctuation, an oversized number
+/// and every keyword.
+const SPLICES: &[&str] = &[
+    ";", "{", "}", "..", "9999999", "spec", "instance", "msg", "chan", "from", "to", "cap",
+    "lossy", "dup", "global", "proc", "var", "init", "state", "when", "recv", "send", "goto",
+    "as", "bool", "int", "true", "false", "always", "never", "eventually", "boundary", "timer",
+    "deadline", "start", "stop", "expire", "atomic",
+];
+
+/// Truncated and token-spliced copies of every shipped spec go through
+/// the whole front end (lexer, parser, sema, lowering). Each compiles or
+/// fails with caret diagnostics; none panics.
+#[test]
+fn mangled_shipped_specs_fail_with_diagnostics_never_panics() {
+    const TRUNCATIONS: usize = 400;
+    const SPLICED: usize = 500;
+    let specs = shipped_specs();
+    assert_eq!(specs.len(), 9, "every shipped spec is fed through");
+    let mut rng = Rng(0x5eed_5bec);
+    for (file, source) in &specs {
+        for _ in 0..TRUNCATIONS {
+            let mut cut = rng.below(source.len() + 1);
+            while !source.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            assert_compiles_or_renders(file, &source[..cut], &format!("truncation at {cut}"));
+        }
+        let toks = specl::lexer::lex(source).expect("shipped specs lex");
+        for _ in 0..SPLICED {
+            let span = toks[rng.below(toks.len())].span;
+            let (head, tail) = (&source[..span.start], &source[span.end..]);
+            let token = &source[span.start..span.end];
+            let piece = SPLICES[rng.below(SPLICES.len())];
+            let (input, mangled) = match rng.below(3) {
+                0 => (format!("deleting `{token}` at {}", span.start), format!("{head}{tail}")),
+                1 => (
+                    format!("inserting `{piece}` at {}", span.start),
+                    format!("{head}{piece} {token}{tail}"),
+                ),
+                _ => (
+                    format!("replacing `{token}` at {} with `{piece}`", span.start),
+                    format!("{head}{piece}{tail}"),
+                ),
+            };
+            assert_compiles_or_renders(file, &mangled, &input);
+        }
+    }
 }
