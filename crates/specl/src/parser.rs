@@ -60,12 +60,18 @@ impl Parser {
         self.toks[self.pos].span
     }
 
+    /// Consume the current token. Its `Tok` moves out and leaves `Eof`
+    /// behind, while the slot keeps its span for the `pos - 1` read in
+    /// [`Parser::edge`]. The trailing `Eof` is never consumed, so `peek`
+    /// always has a token.
     fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+        let span = self.toks[self.pos].span;
+        if self.pos + 1 == self.toks.len() {
+            return Token { tok: Tok::Eof, span };
         }
-        t
+        let tok = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
+        self.pos += 1;
+        Token { tok, span }
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
@@ -89,10 +95,12 @@ impl Parser {
     }
 
     fn ident(&mut self, what: &str) -> Result<Ident, Diagnostic> {
-        match self.peek().clone() {
-            Tok::Ident(name) => {
-                let t = self.bump();
-                Ok(Ident { name, span: t.span })
+        match self.peek() {
+            Tok::Ident(_) => {
+                let Token { tok: Tok::Ident(name), span } = self.bump() else {
+                    unreachable!("peeked an identifier")
+                };
+                Ok(Ident { name, span })
             }
             other => Err(Diagnostic::new(
                 format!("expected {what}, found {}", other.describe()),
@@ -130,7 +138,7 @@ impl Parser {
             boundary: None,
         };
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 Tok::Eof => break,
                 Tok::Instance => {
                     let kw = self.bump();
@@ -182,7 +190,7 @@ impl Parser {
                     }
                     spec.boundary = Some(e);
                 }
-                other => {
+                ref other => {
                     return Err(Diagnostic::new(
                         format!(
                             "expected a declaration (`msg`, `chan`, `timer`, `deadline`, \
@@ -293,7 +301,7 @@ impl Parser {
         let mut init_seen = false;
         let mut states = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 Tok::RBrace => break,
                 Tok::Var => {
                     self.bump();
@@ -320,7 +328,7 @@ impl Parser {
                     }
                     states.push(StateDecl { name: sname, edges });
                 }
-                other => {
+                ref other => {
                     return Err(Diagnostic::new(
                         format!(
                             "expected `var`, `init`, `state`, or `}}` in process body, found {}",
@@ -344,7 +352,7 @@ impl Parser {
     fn edge(&mut self) -> Result<EdgeDecl, Diagnostic> {
         let start = self.peek_span();
         let atomic = self.eat(&Tok::Atomic);
-        let trigger = match self.peek().clone() {
+        let trigger = match *self.peek() {
             Tok::When => {
                 self.bump();
                 Trigger::When(self.expr()?)
@@ -370,7 +378,7 @@ impl Parser {
                 };
                 Trigger::Expire { timer, guard }
             }
-            other => {
+            ref other => {
                 return Err(Diagnostic::new(
                     format!(
                         "expected an edge (`when ...`, `recv ...`, or `expire ...`), found {}",
@@ -381,9 +389,11 @@ impl Parser {
             }
         };
         let label = if self.eat(&Tok::As) {
-            match self.peek().clone() {
-                Tok::Str(s) => {
-                    self.bump();
+            match self.peek() {
+                Tok::Str(_) => {
+                    let Tok::Str(s) = self.bump().tok else {
+                        unreachable!("peeked a string")
+                    };
                     Some(s)
                 }
                 other => {
@@ -411,7 +421,7 @@ impl Parser {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         loop {
-            match self.peek().clone() {
+            match *self.peek() {
                 Tok::RBrace => {
                     self.bump();
                     return Ok(stmts);
@@ -448,7 +458,7 @@ impl Parser {
                     self.expect(Tok::Semi)?;
                     stmts.push(Stmt::Assign { target, value });
                 }
-                other => {
+                ref other => {
                     return Err(Diagnostic::new(
                         format!(
                             "expected a statement (`send`, `goto`, `start`, `stop`, or an \
@@ -558,7 +568,7 @@ impl Parser {
     }
 
     fn primary_expr(&mut self) -> Result<Expr, Diagnostic> {
-        match self.peek().clone() {
+        match *self.peek() {
             Tok::Number(n) => {
                 let t = self.bump();
                 Ok(Expr::Int(n, t.span))
@@ -589,7 +599,7 @@ impl Parser {
                     Ok(Expr::Var(first))
                 }
             }
-            other => Err(Diagnostic::new(
+            ref other => Err(Diagnostic::new(
                 format!("expected an expression, found {}", other.describe()),
                 self.peek_span(),
             )),
