@@ -1243,8 +1243,8 @@ fn section93(seed: u64) {
 
 /// `--exp fivegs` — the 5G NR / NSA scenario corpus under the timing
 /// lattice. Every spec in `specs/fivegs/` is swept across the `{1,4}^n`
-/// product of per-timer scale stretches with exhaustive sequential BFS at
-/// each point: a property violated at *every* point is a candidate design
+/// product of per-timer scale stretches with one exhaustive sequential BFS
+/// per timer order: a property violated at *every* point is a candidate design
 /// defect (no retuning of timers closes it), one violated only at *some*
 /// points is a timing-induced operational slip. The lattice tables, the
 /// S7-S10 candidate-defect summary, the replayable witnesses, and the
