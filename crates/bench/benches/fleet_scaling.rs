@@ -95,6 +95,7 @@ criterion_group!(benches, fleet_scaling);
 /// already averages tens of seconds, and the kernel is deterministic.
 fn write_baseline() {
     let filter = arm_filter();
+    let mut rate_20k = None;
     let arms: Vec<Value> = FLEET_SIZES
         .iter()
         .filter(|&&ues| match &filter {
@@ -127,6 +128,9 @@ fn write_baseline() {
                 }
             };
             let rate = total_events as f64 / total_secs;
+            if ues == 20_000 {
+                rate_20k = Some(rate.round());
+            }
             let rss = peak_rss_bytes();
             println!(
                 "baseline: {ues} UE(s) -> {events} events, {rate:.0} events/s \
@@ -179,11 +183,16 @@ fn write_baseline() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
     std::fs::write(path, text + "\n").expect("write BENCH_fleet.json");
 
-    // Longitudinal trend entry: the 20k arm's kernel stats are the
-    // headline (big enough to be steady, small enough to re-run anywhere).
+    // Longitudinal trend entry: the 20k arm's throughput and kernel stats
+    // are the headline (big enough to be steady, small enough to re-run
+    // anywhere).
     let r = run_fleet(20_000);
     let mut fields = vec![
         ("ues".to_string(), Value::U64(20_000)),
+        (
+            "events_per_sec".to_string(),
+            Value::F64(rate_20k.expect("the unfiltered sweep runs the 20k arm")),
+        ),
         ("kernel_bytes_per_ue".to_string(), Value::U64(r.kernel.bytes_per_ue as u64)),
         ("wheel_cascades".to_string(), Value::U64(r.kernel.wheel_cascades)),
         ("wheel_peak_len".to_string(), Value::U64(r.kernel.wheel_peak_len as u64)),

@@ -44,9 +44,50 @@ impl<E> RefQueue<E> {
         Some((SimTime::from_millis(at), payload))
     }
 
+    fn peek_time(&self) -> Option<SimTime> {
+        self.entries
+            .keys()
+            .next()
+            .map(|&(at, _)| SimTime::from_millis(at))
+    }
+
     fn len(&self) -> usize {
         self.entries.len()
     }
+}
+
+/// One step of a random wheel workload.
+#[derive(Clone, Copy, Debug)]
+enum WheelOp {
+    /// Schedule `delta` ms after the cursor (saturating at `u64::MAX`).
+    After(u64),
+    /// Schedule `back` ms before `u64::MAX`, or at the cursor if later.
+    BelowMax(u64),
+    Pop,
+    /// Cancel handle `i % n` of the `n` taken so far, popped or not.
+    Cancel(usize),
+    Peek,
+}
+
+/// Wheel levels: 11 groups of 6 bits cover a `u64` millisecond.
+const WHEEL_LEVELS: u32 = 11;
+
+/// Schedules make up about half the steps. A delta drawn anywhere in one
+/// level's span mostly lands alone in its slot; a small multiple of that
+/// level's slot width mostly lands beside an earlier one.
+fn wheel_op() -> impl Strategy<Value = WheelOp> {
+    (0u32..32, 0u32..WHEEL_LEVELS, any::<u64>()).prop_map(|(kind, level, r)| {
+        let bits = 6 * (level + 1);
+        match kind {
+            0..=7 => WheelOp::After(if bits >= 64 { r } else { r & ((1 << bits) - 1) }),
+            8..=12 => WheelOp::After((r % 4) << (6 * level)),
+            13 => WheelOp::After(0),
+            14 => WheelOp::BelowMax(r % 4),
+            15..=22 => WheelOp::Pop,
+            23..=27 => WheelOp::Cancel(r as usize),
+            _ => WheelOp::Peek,
+        }
+    })
 }
 
 proptest! {
@@ -124,6 +165,51 @@ proptest! {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    /// One random interleaving of schedule, pop, cancel and peek, so
+    /// entries are scheduled and cancelled right after every kind of
+    /// cursor jump, at every level, alone in their slot or shared, up to
+    /// `u64::MAX`. Every result and the length after every step match the
+    /// reference queue, and `peek_time` matches its first key before every
+    /// pop.
+    #[test]
+    fn wheel_matches_heap_under_random_interleavings(
+        ops in proptest::collection::vec(wheel_op(), 0..400),
+    ) {
+        let mut q = RefQueue::new();
+        let mut w: TimingWheel<usize> = TimingWheel::new();
+        let mut handles = Vec::new();
+        let mut now = 0u64;
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                WheelOp::After(delta) => {
+                    let at = SimTime::from_millis(now.saturating_add(delta));
+                    handles.push((q.schedule(at, i), w.schedule(at, i)));
+                }
+                WheelOp::BelowMax(back) => {
+                    let at = SimTime::from_millis((u64::MAX - back).max(now));
+                    handles.push((q.schedule(at, i), w.schedule(at, i)));
+                }
+                WheelOp::Pop => {
+                    prop_assert_eq!(q.peek_time(), w.peek_time(), "peek before pop {i}");
+                    let popped = q.pop();
+                    prop_assert_eq!(popped, w.pop(), "pop {i}");
+                    if let Some((at, _)) = popped {
+                        now = at.as_millis();
+                    }
+                }
+                WheelOp::Cancel(k) if !handles.is_empty() => {
+                    let (key, handle) = handles[k % handles.len()];
+                    prop_assert_eq!(q.cancel(key), w.cancel(handle), "cancel {i}");
+                }
+                WheelOp::Cancel(_) => {}
+                WheelOp::Peek => {
+                    prop_assert_eq!(q.peek_time(), w.peek_time(), "peek {i}");
+                }
+            }
+            prop_assert_eq!(q.len(), w.len(), "len after {i}");
         }
     }
 }
