@@ -512,13 +512,19 @@ fn compile_spec_file(path: &Path) -> Result<specl::SpecModel, String> {
         .map_err(|diags| specl::render_diagnostics(&diags, &path.display().to_string(), &src))
 }
 
+fn parse_spec_file(path: &Path) -> Result<specl::ast::Spec, String> {
+    let src = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    specl::parse(&src)
+        .map_err(|d| specl::render_diagnostics(&[d], &path.display().to_string(), &src))
+}
+
+/// Parse `base` and `patch`, merge them with `specl::apply_overlay`, and
+/// check and lower the result. A parse error renders with its caret; a
+/// check error of the merged spec names both files, since its span may
+/// point into either.
 fn merge_spec_files(base: &Path, patch: &Path) -> Result<(String, String, specl::SpecModel), String> {
-    let base_src = fs::read_to_string(base).map_err(|e| format!("{}: {e}", base.display()))?;
-    let patch_src = fs::read_to_string(patch).map_err(|e| format!("{}: {e}", patch.display()))?;
-    let base_spec =
-        specl::parse(&base_src).map_err(|d| format!("{}: {}", base.display(), d.message))?;
-    let patch_spec =
-        specl::parse(&patch_src).map_err(|d| format!("{}: {}", patch.display(), d.message))?;
+    let base_spec = parse_spec_file(base)?;
+    let patch_spec = parse_spec_file(patch)?;
     let merged = specl::apply_overlay(&base_spec, &patch_spec);
     specl::check(&merged).map_err(|ds| {
         format!(
@@ -852,6 +858,24 @@ mod tests {
                 registry_remedy("mme_lu_recovery").apply(&CrossSysLuModel::paper())
             ),
         );
+    }
+
+    #[test]
+    fn merge_renders_a_patch_parse_error_with_its_caret() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let patch = std::env::temp_dir().join(format!(
+            "remedydiff-bad-patch-{}.specl",
+            std::process::id()
+        ));
+        fs::write(&patch, "spec broken;\nchan ul from dev to mme cap;\n").expect("write the patch");
+        let merged = merge_spec_files(&root.join("specs/attach_s2.specl"), &patch);
+        let _ = fs::remove_file(&patch);
+        let Err(err) = merged else {
+            panic!("a patch that does not parse is rejected")
+        };
+        assert!(err.contains(&format!("--> {}:2:28", patch.display())), "{err}");
+        assert!(err.contains("2 | chan ul from dev to mme cap;"), "{err}");
+        assert!(err.lines().any(|l| l.ends_with('^')), "{err}");
     }
 
     #[test]

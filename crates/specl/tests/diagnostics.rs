@@ -7,7 +7,7 @@ use std::fs;
 use std::panic;
 use std::path::Path;
 
-use specl::{compile, render_diagnostics};
+use specl::{compile, render_diagnostics, Diagnostic};
 
 fn rendered(file: &str, source: &str) -> String {
     let diags = compile(source).expect_err("spec must be rejected");
@@ -126,15 +126,59 @@ impl Rng {
 fn assert_compiles_or_renders(file: &str, source: &str, input: &str) {
     let compiled = panic::catch_unwind(|| compile(source))
         .unwrap_or_else(|_| panic!("{input} of {file} panicked; the input was:\n{source}"));
-    let Err(diags) = compiled else { return };
+    if let Err(diags) = compiled {
+        assert_renders(file, source, input, &diags);
+    }
+}
+
+/// `diags` is not empty, and rendering it against `source` shows one
+/// `file:line:col` location and one caret run per diagnostic.
+fn assert_renders(file: &str, source: &str, input: &str, diags: &[Diagnostic]) {
     assert!(!diags.is_empty(), "{input} of {file}: an error with no diagnostic");
-    let out = render_diagnostics(&diags, file, source);
-    for d in &diags {
+    let out = render_diagnostics(diags, file, source);
+    for d in diags {
         let at = format!("--> {file}:{}:{}", d.span.line, d.span.col);
         assert!(out.contains(&at), "{input} of {file}: no `{at}` in\n{out}");
     }
     let carets = out.lines().filter(|l| l.ends_with('^')).count();
     assert_eq!(carets, diags.len(), "{input} of {file}: one caret run each in\n{out}");
+}
+
+/// `truncations` truncated and `splices` token-spliced copies of `source`,
+/// each as `(what was done, mangled text)`.
+fn mangled(
+    rng: &mut Rng,
+    source: &str,
+    truncations: usize,
+    splices: usize,
+) -> Vec<(String, String)> {
+    let mut out = Vec::with_capacity(truncations + splices);
+    for _ in 0..truncations {
+        let mut cut = rng.below(source.len() + 1);
+        while !source.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        out.push((format!("truncation at {cut}"), source[..cut].to_owned()));
+    }
+    let toks = specl::lexer::lex(source).expect("shipped specs lex");
+    for _ in 0..splices {
+        let span = toks[rng.below(toks.len())].span;
+        let (head, tail) = (&source[..span.start], &source[span.end..]);
+        let token = &source[span.start..span.end];
+        let piece = SPLICES[rng.below(SPLICES.len())];
+        out.push(match rng.below(3) {
+            0 => (format!("deleting `{token}` at {}", span.start), format!("{head}{tail}")),
+            1 => (
+                format!("inserting `{piece}` at {}", span.start),
+                format!("{head}{piece} {token}{tail}"),
+            ),
+            _ => (
+                format!("replacing `{token}` at {} with `{piece}`", span.start),
+                format!("{head}{piece}{tail}"),
+            ),
+        });
+    }
+    out
 }
 
 /// Text spliced in at a token boundary: punctuation, an oversized number
@@ -151,37 +195,54 @@ const SPLICES: &[&str] = &[
 /// fails with caret diagnostics; none panics.
 #[test]
 fn mangled_shipped_specs_fail_with_diagnostics_never_panics() {
-    const TRUNCATIONS: usize = 400;
-    const SPLICED: usize = 500;
     let specs = shipped_specs();
     assert_eq!(specs.len(), 9, "every shipped spec is fed through");
     let mut rng = Rng(0x5eed_5bec);
     for (file, source) in &specs {
-        for _ in 0..TRUNCATIONS {
-            let mut cut = rng.below(source.len() + 1);
-            while !source.is_char_boundary(cut) {
-                cut -= 1;
-            }
-            assert_compiles_or_renders(file, &source[..cut], &format!("truncation at {cut}"));
-        }
-        let toks = specl::lexer::lex(source).expect("shipped specs lex");
-        for _ in 0..SPLICED {
-            let span = toks[rng.below(toks.len())].span;
-            let (head, tail) = (&source[..span.start], &source[span.end..]);
-            let token = &source[span.start..span.end];
-            let piece = SPLICES[rng.below(SPLICES.len())];
-            let (input, mangled) = match rng.below(3) {
-                0 => (format!("deleting `{token}` at {}", span.start), format!("{head}{tail}")),
-                1 => (
-                    format!("inserting `{piece}` at {}", span.start),
-                    format!("{head}{piece} {token}{tail}"),
-                ),
-                _ => (
-                    format!("replacing `{token}` at {} with `{piece}`", span.start),
-                    format!("{head}{piece}{tail}"),
-                ),
-            };
+        for (input, mangled) in mangled(&mut rng, source, 400, 500) {
             assert_compiles_or_renders(file, &mangled, &input);
+        }
+    }
+}
+
+/// Truncated and token-spliced copies of both shipped remedy patches are
+/// parsed, merged onto their base spec with `apply_overlay`, checked and
+/// lowered, as `repro --exp remedies` merges them. Each lowers or fails
+/// with diagnostics; none panics. A patch's parse error renders with its
+/// caret; a check error of the merged spec may point into either file.
+#[test]
+fn mangled_remedy_overlays_fail_with_diagnostics_never_panics() {
+    let specs = shipped_specs();
+    let patches: Vec<_> = specs.iter().filter(|(file, _)| file.contains("__")).collect();
+    assert_eq!(patches.len(), 2, "both shipped patches are fed through");
+    let mut rng = Rng(0x0fe7_1a75);
+    for (file, source) in patches {
+        let base_file = format!("{}.specl", file.split("__").next().expect("patch name"));
+        let (_, base_source) = specs
+            .iter()
+            .find(|(f, _)| *f == base_file)
+            .unwrap_or_else(|| panic!("{file}: no base spec {base_file}"));
+        let base = specl::parse(base_source).expect("shipped base specs parse");
+        for (input, mangled) in mangled(&mut rng, source, 100, 200) {
+            let panicked = format!("{input} of {file} panicked; the input was:\n{mangled}");
+            let parsed = panic::catch_unwind(|| specl::parse(&mangled));
+            let patch = match parsed.unwrap_or_else(|_| panic!("{panicked}")) {
+                Ok(patch) => patch,
+                Err(d) => {
+                    assert_renders(file, &mangled, &input, &[d]);
+                    continue;
+                }
+            };
+            let checked = panic::catch_unwind(|| {
+                let merged = specl::apply_overlay(&base, &patch);
+                specl::check(&merged)?;
+                specl::lower(&merged);
+                Ok::<(), Vec<Diagnostic>>(())
+            })
+            .unwrap_or_else(|_| panic!("{panicked}"));
+            if let Err(diags) = checked {
+                assert!(!diags.is_empty(), "{input} of {file}: a merge error with no diagnostic");
+            }
         }
     }
 }
