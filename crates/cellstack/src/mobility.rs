@@ -1,11 +1,12 @@
-//! Mobility procedures: the Table 4 update triggers and the inter-system
-//! switch flows (paper §2 "Mobility management", §5.1.1, Figure 3).
+//! Mobility procedures: the Table 4 location/routing-area update triggers
+//! (paper §2 "Mobility management"). The inter-system switch flows of
+//! §5.1.1 and Figure 3, context migration included, run inline in
+//! [`DeviceStack::switch_4g_to_3g`](crate::stack::DeviceStack::switch_4g_to_3g)
+//! and [`DeviceStack::switch_3g_to_4g`](crate::stack::DeviceStack::switch_3g_to_4g).
 
 use serde::{Deserialize, Serialize};
 
-use crate::context::{EpsBearerContext, PdpContext};
-use crate::msg::{SwitchMechanism, UpdateKind};
-use crate::types::RatSystem;
+use crate::msg::UpdateKind;
 
 /// The scenarios that trigger a location/routing area update (paper
 /// Table 4).
@@ -62,66 +63,9 @@ impl UpdateTrigger {
     }
 }
 
-/// Why an inter-system switch happens (§5.1.1 lists the three usage
-/// settings).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SwitchReason {
-    /// Hybrid-coverage mobility: the user left one system's coverage.
-    Coverage,
-    /// A CSFB call moved a 4G user to 3G (or back, after the call).
-    CsfbCall,
-    /// Carrier-initiated (load balancing, resource availability).
-    CarrierInitiated,
-}
-
-/// The context hand-off computed during an inter-system switch (§5.1.1:
-/// "the 4G EPS bearer context [is transferred] into the 3G PDP context
-/// during the location update procedure", and mirrored on the way back).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ContextMigration {
-    /// A context was carried across; data service continues.
-    Migrated4gTo3g(PdpContext),
-    /// A context was carried back; data service continues.
-    Migrated3gTo4g(EpsBearerContext),
-    /// Nothing to migrate (data disabled, or the context was deactivated —
-    /// the S1 hazard on the 3G→4G direction).
-    Nothing,
-}
-
-/// Compute the 4G→3G hand-off.
-pub fn migrate_4g_to_3g(bearer: Option<&EpsBearerContext>) -> ContextMigration {
-    match bearer.and_then(|b| b.to_pdp(5)) {
-        Some(pdp) => ContextMigration::Migrated4gTo3g(pdp),
-        None => ContextMigration::Nothing,
-    }
-}
-
-/// Compute the 3G→4G hand-off. `None` input (deactivated PDP context)
-/// yields [`ContextMigration::Nothing`] — the S1 trigger.
-pub fn migrate_3g_to_4g(pdp: Option<&PdpContext>) -> ContextMigration {
-    match pdp.and_then(|p| p.to_eps_bearer(5)) {
-        Some(bearer) => ContextMigration::Migrated3gTo4g(bearer),
-        None => ContextMigration::Nothing,
-    }
-}
-
-/// A fully-described switch request, as the screening scenarios generate it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct SwitchRequest {
-    /// Source system.
-    pub from: RatSystem,
-    /// Target system.
-    pub to: RatSystem,
-    /// Why the switch is requested.
-    pub reason: SwitchReason,
-    /// Operator's chosen mechanism.
-    pub mechanism: SwitchMechanism,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{ContextState, IpAddr, QosProfile};
 
     #[test]
     fn table4_has_six_rows() {
@@ -143,53 +87,6 @@ mod tests {
             &[UpdateKind::LocationArea, UpdateKind::RoutingArea],
             "switch to 3G updates both domains (Table 4 row 6)"
         );
-    }
-
-    #[test]
-    fn migration_roundtrip_preserves_ip() {
-        let bearer = EpsBearerContext::active(5, IpAddr(0x01020304), QosProfile::best_effort());
-        let ContextMigration::Migrated4gTo3g(pdp) = migrate_4g_to_3g(Some(&bearer)) else {
-            panic!("must migrate");
-        };
-        assert_eq!(pdp.ip, bearer.ip);
-        let ContextMigration::Migrated3gTo4g(back) = migrate_3g_to_4g(Some(&pdp)) else {
-            panic!("must migrate back");
-        };
-        assert_eq!(back.ip, bearer.ip);
-    }
-
-    #[test]
-    fn s1_deactivated_pdp_migrates_nothing() {
-        let mut pdp = PdpContext::active(5, IpAddr(1), QosProfile::best_effort());
-        pdp.state = ContextState::Inactive;
-        assert_eq!(migrate_3g_to_4g(Some(&pdp)), ContextMigration::Nothing);
-        assert_eq!(migrate_3g_to_4g(None), ContextMigration::Nothing);
-    }
-
-    #[test]
-    fn no_bearer_migrates_nothing() {
-        assert_eq!(migrate_4g_to_3g(None), ContextMigration::Nothing);
-    }
-
-    #[test]
-    fn switch_request_describes_all_scenario_axes() {
-        use crate::msg::SwitchMechanism;
-        // The scenario sampler enumerates (reason x mechanism) pairs; the
-        // descriptor must carry both plus the direction.
-        let req = SwitchRequest {
-            from: RatSystem::Lte4g,
-            to: RatSystem::Utran3g,
-            reason: SwitchReason::CsfbCall,
-            mechanism: SwitchMechanism::ReleaseWithRedirect,
-        };
-        assert_eq!(req.to, req.from.other());
-        let back = SwitchRequest {
-            from: req.to,
-            to: req.from,
-            reason: SwitchReason::Coverage,
-            mechanism: SwitchMechanism::CellReselection,
-        };
-        assert_ne!(req, back);
     }
 
     #[test]

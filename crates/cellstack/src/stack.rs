@@ -14,14 +14,13 @@ use crate::causes::PdpDeactivationCause;
 use crate::cm::{CcDevice, CcInput, CcOutput};
 use crate::emm::{EmmDevice, EmmDeviceInput, EmmDeviceOutput};
 use crate::esm::{EsmDevice, EsmDeviceInput, EsmDeviceOutput};
-use crate::fivegmm::{FgNasMessage, FgmmDevice, FgmmDeviceInput, FgmmDeviceOutput, SecondaryLeg};
 use crate::gmm::{GmmDevice, GmmDeviceInput, GmmDeviceOutput, GmmDeviceState};
 use crate::mm::{MmDevice, MmDeviceInput, MmDeviceOutput};
 use crate::msg::{NasMessage, UpdateKind};
 use crate::rrc3g::{Rrc3g, Rrc3gEvent};
 use crate::rrc4g::{Rrc4g, Rrc4gEvent};
 use crate::sm::{SmDevice, SmDeviceInput, SmDeviceOutput};
-use crate::timers::{FgTimer, NasTimer};
+use crate::timers::NasTimer;
 use crate::types::{Domain, Protocol, RatSystem, Registration};
 
 /// Events the stack reports to its environment (simulator or checker
@@ -64,17 +63,6 @@ pub enum StackEvent {
     IncomingCallRinging,
     /// A protocol produced a trace-worthy step (module, description).
     Trace(Protocol, String),
-    /// Send a 5G NAS message uplink (the 5G NR leg; the environment routes
-    /// it to the AMF).
-    Uplink5gNas(FgNasMessage),
-    /// 5GMM asks for a 5GS NAS timer to be (re)armed.
-    ArmFgTimer(FgTimer),
-    /// 5GS registration status changed (distinct from the serving-system
-    /// [`StackEvent::RegChanged`] — a device can hold an EPS and a 5GS
-    /// registration through inter-system change).
-    FgRegChanged(Registration),
-    /// The NSA secondary leg changed state.
-    SecondaryLeg(SecondaryLeg),
 }
 
 /// The composed device stack.
@@ -99,10 +87,6 @@ pub struct DeviceStack {
     pub sm: SmDevice,
     /// 4G session management.
     pub esm: EsmDevice,
-    /// 5G NR mobility management (registration / service request / NSA
-    /// secondary leg / EPS fallback). Inert until the environment drives
-    /// it via the `*_5g` methods — the 3G/4G behaviors are unchanged.
-    pub fiveg: FgmmDevice,
     /// The user's mobile-data switch.
     pub data_enabled: bool,
     /// The current/most recent data session is high-rate (drives RRC DCH).
@@ -122,7 +106,6 @@ impl DeviceStack {
             cc: CcDevice::new(),
             sm: SmDevice::new(),
             esm: EsmDevice::new(),
-            fiveg: FgmmDevice::new(),
             data_enabled: true,
             data_high_rate: false,
         }
@@ -296,66 +279,6 @@ impl DeviceStack {
                 self.route_esm(out, ev);
             }
         }
-    }
-
-    // ---- the 5G NR leg ---------------------------------------------------
-
-    /// Start (or restart) 5GS registration.
-    pub fn register_5g(&mut self, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg
-            .on_input(FgmmDeviceInput::RegistrationTrigger, &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// Request user-plane service from 5GS idle.
-    pub fn service_request_5g(&mut self, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg.on_input(FgmmDeviceInput::ServiceTrigger, &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// Deliver a downlink 5G NAS message.
-    pub fn deliver_5g_nas(&mut self, msg: FgNasMessage, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg.on_input(FgmmDeviceInput::Network(msg), &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// A [`FgTimer`] fired; dispatch the expiry to 5GMM.
-    pub fn fg_timer(&mut self, timer: FgTimer, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg
-            .on_input(FgmmDeviceInput::TimerExpiry(timer), &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// Voice service needs EPS fallback: the device leaves NR for LTE the
-    /// way CSFB leaves LTE for 3G. The environment completes the move with
-    /// [`Self::eps_fallback_done`].
-    pub fn eps_fallback(&mut self, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg.on_input(FgmmDeviceInput::FallbackTrigger, &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// The EPS fallback resolved. When the device stays on LTE
-    /// (`returned_to_nr == false`) the 5GS side deregisters locally and
-    /// the EPS attach takes over via [`Self::power_on`]; either way the
-    /// device ends camped — never in fallback limbo.
-    pub fn eps_fallback_done(&mut self, returned_to_nr: bool, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg
-            .on_input(FgmmDeviceInput::FallbackDone { returned_to_nr }, &mut out);
-        self.route_fiveg(out, ev);
-    }
-
-    /// Drive the NSA secondary leg (EN-DC): `AddSecondaryLeg` /
-    /// `SecondaryLegUp` / `SecondaryLegFailure`.
-    pub fn nsa_secondary(&mut self, input: FgmmDeviceInput, ev: &mut Vec<StackEvent>) {
-        let mut out = Vec::new();
-        self.fiveg.on_input(input, &mut out);
-        self.route_fiveg(out, ev);
     }
 
     // ---- inter-system switching ------------------------------------------
@@ -697,22 +620,6 @@ impl DeviceStack {
         }
     }
 
-    fn route_fiveg(&mut self, outputs: Vec<FgmmDeviceOutput>, ev: &mut Vec<StackEvent>) {
-        for o in outputs {
-            match o {
-                FgmmDeviceOutput::Send(msg) => ev.push(StackEvent::Uplink5gNas(msg)),
-                FgmmDeviceOutput::ArmTimer(t) => ev.push(StackEvent::ArmFgTimer(t)),
-                FgmmDeviceOutput::RegChanged(reg) => ev.push(StackEvent::FgRegChanged(reg)),
-                FgmmDeviceOutput::FallbackStarted => {
-                    ev.push(StackEvent::WantsSwitchTo(RatSystem::Lte4g));
-                }
-                FgmmDeviceOutput::SecondaryLegChanged(leg) => {
-                    ev.push(StackEvent::SecondaryLeg(leg));
-                }
-            }
-        }
-    }
-
     fn route_esm(&mut self, outputs: Vec<EsmDeviceOutput>, ev: &mut Vec<StackEvent>) {
         for o in outputs {
             match o {
@@ -1036,114 +943,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn stack_5g_registration_against_a_scripted_amf() {
-        use crate::fivegmm::{FgNasMessage, FgmmAmf, FgmmAmfInput, FgmmAmfOutput};
-        let mut stack = DeviceStack::new();
-        let mut amf = FgmmAmf::new();
-        let mut ev = Vec::new();
-        stack.register_5g(&mut ev);
-        assert!(ev.contains(&StackEvent::ArmFgTimer(FgTimer::T3510)));
-        // Relay until the handshake settles.
-        let mut uplink: Vec<FgNasMessage> = ev
-            .iter()
-            .filter_map(|e| match e {
-                StackEvent::Uplink5gNas(m) => Some(m.clone()),
-                _ => None,
-            })
-            .collect();
-        for _ in 0..8 {
-            let mut downlink = Vec::new();
-            for m in uplink.drain(..) {
-                let mut out = Vec::new();
-                amf.on_input(FgmmAmfInput::Uplink(m), &mut out);
-                for o in out {
-                    if let FgmmAmfOutput::Send(d) = o {
-                        downlink.push(d);
-                    }
-                }
-            }
-            if downlink.is_empty() {
-                break;
-            }
-            for m in downlink {
-                let mut ev = Vec::new();
-                stack.deliver_5g_nas(m, &mut ev);
-                for e in ev {
-                    if let StackEvent::Uplink5gNas(u) = e {
-                        uplink.push(u);
-                    }
-                }
-            }
-        }
-        assert!(stack.fiveg.registered());
-        // T3517 routes to 5GMM, not ESM.
-        let mut ev = Vec::new();
-        stack.service_request_5g(&mut ev);
-        assert!(ev.contains(&StackEvent::ArmFgTimer(FgTimer::T3517)));
-        let mut ev = Vec::new();
-        stack.fg_timer(FgTimer::T3517, &mut ev);
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e, StackEvent::Uplink5gNas(FgNasMessage::ServiceRequest))));
-    }
-
-    #[test]
-    fn stack_eps_fallback_ends_camped_either_way() {
-        use crate::fivegmm::{FgNasMessage, FgmmDeviceState};
-        let mut stack = DeviceStack::new();
-        // Shortcut to a registered 5GS leg.
-        stack.fiveg.state = FgmmDeviceState::Registered;
-        stack.fiveg.authenticated = true;
-        let mut ev = Vec::new();
-        stack.eps_fallback(&mut ev);
-        assert!(ev.contains(&StackEvent::WantsSwitchTo(RatSystem::Lte4g)));
-        assert!(stack.fiveg.in_fallback());
-        // Outcome 1: bounced back to NR — still registered, camped.
-        let mut ev = Vec::new();
-        stack.eps_fallback_done(true, &mut ev);
-        assert!(stack.fiveg.camped_on_nr() && stack.fiveg.registered());
-        // Outcome 2: stays on LTE — 5GS deregisters, EPS attach camps.
-        let mut ev = Vec::new();
-        stack.eps_fallback(&mut ev);
-        let mut ev = Vec::new();
-        stack.eps_fallback_done(false, &mut ev);
-        assert!(ev.contains(&StackEvent::FgRegChanged(Registration::Deregistered)));
-        assert!(stack.fiveg.camped_on_nr(), "no fallback limbo");
-        let mut ev = Vec::new();
-        stack.power_on(RatSystem::Lte4g, &mut ev);
-        stack.deliver_nas(
-            RatSystem::Lte4g,
-            Domain::Ps,
-            NasMessage::AttachAccept,
-            &mut ev,
-        );
-        assert!(!stack.out_of_service(), "camped on LTE after fallback");
-        // A later return to NR re-registers from scratch.
-        let mut ev = Vec::new();
-        stack.register_5g(&mut ev);
-        assert!(ev.iter().any(|e| matches!(
-            e,
-            StackEvent::Uplink5gNas(FgNasMessage::RegistrationRequest { .. })
-        )));
-    }
-
-    #[test]
-    fn stack_nsa_secondary_leg_failure_keeps_registration() {
-        use crate::fivegmm::{FgmmDeviceInput, FgmmDeviceState};
-        let mut stack = DeviceStack::new();
-        stack.fiveg.state = FgmmDeviceState::Registered;
-        stack.fiveg.authenticated = true;
-        let mut ev = Vec::new();
-        stack.nsa_secondary(FgmmDeviceInput::AddSecondaryLeg, &mut ev);
-        stack.nsa_secondary(FgmmDeviceInput::SecondaryLegUp, &mut ev);
-        assert!(ev.contains(&StackEvent::SecondaryLeg(SecondaryLeg::Active)));
-        let mut ev = Vec::new();
-        stack.nsa_secondary(FgmmDeviceInput::SecondaryLegFailure, &mut ev);
-        assert!(ev.contains(&StackEvent::SecondaryLeg(SecondaryLeg::Failed)));
-        assert!(stack.fiveg.registered());
     }
 
     #[test]

@@ -102,85 +102,6 @@ impl std::fmt::Display for NasTimer {
     }
 }
 
-/// The 5GS mobility-management timers (TS 24.501 §10.2) — the T3410
-/// family's 5G counterparts, one generation up. They supervise the 5GMM
-/// registration and service-request procedures modeled in
-/// [`crate::fivegmm`]; the split between FSM-owned retry *logic* and
-/// environment-owned *clock* is identical to [`NasTimer`]'s.
-///
-/// | Timer | Guards | On expiry |
-/// |-------|--------|-----------|
-/// | T3510 | Registration request | retransmit the registration, bounded |
-/// | T3511 | Registration retry wait | re-run the registration (short wait) |
-/// | T3502 | Registration back-off | reset the attempt counter, re-register |
-/// | T3517 | Service request | retransmit the service request, bounded |
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum FgTimer {
-    /// Registration procedure supervision (15 s): armed with every
-    /// Registration Request.
-    T3510,
-    /// Short registration-retry wait (10 s) after an abandoned attempt.
-    T3511,
-    /// Long registration back-off (12 min): fires after the attempt counter
-    /// is exhausted and resets it.
-    T3502,
-    /// Service request supervision (15 s in 5GS, vs T3417's 5 s).
-    T3517,
-}
-
-impl FgTimer {
-    /// Every modeled 5GS timer, in declaration order.
-    pub const ALL: [FgTimer; 4] = [
-        FgTimer::T3510,
-        FgTimer::T3511,
-        FgTimer::T3502,
-        FgTimer::T3517,
-    ];
-
-    /// The standard's default duration in milliseconds.
-    pub fn default_ms(self) -> u64 {
-        match self {
-            FgTimer::T3510 => 15_000,
-            FgTimer::T3511 => 10_000,
-            FgTimer::T3502 => 720_000,
-            FgTimer::T3517 => 15_000,
-        }
-    }
-
-    /// Retransmissions allowed before the owning procedure is abandoned.
-    /// T3511/T3502 are one-shot waits, not retransmission timers.
-    pub fn retry_bound(self) -> u8 {
-        match self {
-            FgTimer::T3510 | FgTimer::T3517 => MAX_NAS_RETRIES,
-            FgTimer::T3511 | FgTimer::T3502 => 1,
-        }
-    }
-
-    /// Expiry delay for the `attempt`-th try (1-based), in milliseconds —
-    /// the same doubled-then-capped compression ladder as
-    /// [`NasTimer::backoff_ms`].
-    pub fn backoff_ms(self, attempt: u8) -> u64 {
-        let shift = attempt.saturating_sub(1).min(2) as u32;
-        self.default_ms() << shift
-    }
-
-    /// The timer's name as TS 24.501 spells it.
-    pub fn name(self) -> &'static str {
-        match self {
-            FgTimer::T3510 => "T3510",
-            FgTimer::T3511 => "T3511",
-            FgTimer::T3502 => "T3502",
-            FgTimer::T3517 => "T3517",
-        }
-    }
-}
-
-impl std::fmt::Display for FgTimer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,26 +135,6 @@ mod tests {
     #[test]
     fn names_round_trip_display() {
         for t in NasTimer::ALL {
-            assert_eq!(format!("{t}"), t.name());
-        }
-    }
-
-    #[test]
-    fn fiveg_defaults_match_the_standard() {
-        assert_eq!(FgTimer::T3510.default_ms(), 15_000);
-        assert_eq!(FgTimer::T3511.default_ms(), 10_000);
-        assert_eq!(FgTimer::T3502.default_ms(), 720_000);
-        assert_eq!(FgTimer::T3517.default_ms(), 15_000);
-    }
-
-    #[test]
-    fn fiveg_backoff_and_bounds_mirror_the_eps_family() {
-        assert_eq!(FgTimer::T3510.backoff_ms(1), 15_000);
-        assert_eq!(FgTimer::T3510.backoff_ms(3), 60_000);
-        assert_eq!(FgTimer::T3510.backoff_ms(4), 60_000, "capped at 4x");
-        assert_eq!(FgTimer::T3510.retry_bound(), MAX_NAS_RETRIES);
-        assert_eq!(FgTimer::T3502.retry_bound(), 1);
-        for t in FgTimer::ALL {
             assert_eq!(format!("{t}"), t.name());
         }
     }

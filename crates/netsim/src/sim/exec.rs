@@ -1094,13 +1094,6 @@ impl Exec<'_> {
                         desc,
                     );
                 }
-                // The 5G NR leg is not simulated by this 3G/4G fleet; its
-                // events can only be produced by the `*_5g` stack methods,
-                // which the executor never calls.
-                StackEvent::Uplink5gNas(_)
-                | StackEvent::ArmFgTimer(_)
-                | StackEvent::FgRegChanged(_)
-                | StackEvent::SecondaryLeg(_) => {}
             }
         }
     }
