@@ -940,6 +940,47 @@ mod tests {
         assert!(dev.out_of_service());
     }
 
+    /// §3.2.1 screens the attach against every reject cause (30+ in 4G).
+    /// A permanent cause bars the device at once; a temporary one retries
+    /// until the attempt counter forces the 3G fallback.
+    #[test]
+    fn every_reject_cause_settles_without_retrying_a_permanent_one() {
+        let resent = |out: &[EmmDeviceOutput]| {
+            out.iter()
+                .any(|o| matches!(o, EmmDeviceOutput::Send(NasMessage::AttachRequest { .. })))
+        };
+        for cause in AttachRejectCause::ALL {
+            let mut dev = EmmDevice::new();
+            dev_in(&mut dev, EmmDeviceInput::AttachTrigger);
+            let reject = || EmmDeviceInput::Network(NasMessage::AttachReject(cause));
+            if !cause.retry_allowed() {
+                for input in [reject(), EmmDeviceInput::RetryTimer] {
+                    let out = dev_in(&mut dev, input);
+                    assert!(!resent(&out), "{cause:?}: re-sent after a permanent reject");
+                    assert!(!out.contains(&EmmDeviceOutput::ArmRetryTimer), "{cause:?}");
+                }
+                assert!(dev.out_of_service(), "{cause:?}");
+                continue;
+            }
+            let mut rejects = 0;
+            let fell_back = loop {
+                rejects += 1;
+                let out = dev_in(&mut dev, reject());
+                if out.contains(&EmmDeviceOutput::FallbackTo(RatSystem::Utran3g)) {
+                    break true;
+                }
+                assert!(
+                    resent(&out),
+                    "{cause:?}: temporary reject {rejects} not retried"
+                );
+                if rejects >= dev.max_attach_attempts {
+                    break false;
+                }
+            };
+            assert!(fell_back, "{cause:?}: no 3G fallback within max_attach_attempts");
+        }
+    }
+
     #[test]
     fn device_detach_handshake() {
         let (mut dev, mut mme) = attach_pair();

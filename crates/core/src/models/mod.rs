@@ -17,8 +17,6 @@
 //! [`crate::validation`]. Two further models support the analysis:
 //! [`crosssys_lu::CrossSysLuModel`] model-checks S6's double-update race
 //! for root-cause analysis (§6.3), and
-//! [`attach_reject::AttachRejectModel`] sweeps the 30+ attach-reject causes
-//! the scenario sampler enumerates (§3.2.1). Finally,
 //! [`attach_retry::RetryAttachModel`] re-checks the S2 composition with the
 //! TS 24.301 retransmission timers (T3410/T3430) enabled over a
 //! lossy-but-fair channel — the standards' own remedy, under which
@@ -28,7 +26,6 @@
 
 pub mod attach;
 pub mod attach_retry;
-pub mod attach_reject;
 pub mod crosssys_lu;
 pub mod csfb_rrc;
 pub mod env;
