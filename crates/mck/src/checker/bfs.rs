@@ -109,20 +109,18 @@ pub(crate) fn run<M: Model>(checker: &Checker<M>) -> CheckResult<M> {
     let mut prov: Vec<Prov<M>> = Vec::new();
     let mut actions: Vec<M::Action> = Vec::new();
 
-    // Reports a violation once per property; returns true if the search
-    // should stop entirely.
+    // Reports a violation once per property.
     macro_rules! report {
-        ($name:expr, $expectation:expr, $node:expr, $state:expr, $lasso:expr) => {{
+        ($name:expr, $expectation:expr, $node:expr, $state:expr) => {{
             if !violated_names.contains(&$name) {
                 violated_names.push($name);
                 violations.push(Violation {
                     property: $name,
                     expectation: $expectation,
                     path: rebuild_path(model, &inits, &prov, $node, $state),
-                    lasso: $lasso,
+                    lasso: false,
                 });
             }
-            checker.fail_fast
         }};
     }
 
@@ -166,12 +164,8 @@ pub(crate) fn run<M: Model>(checker: &Checker<M>) -> CheckResult<M> {
 
         // Safety properties at every node.
         for p in &props.safety {
-            if p.violated_at(model, &item.state)
-                && report!(p.name, p.expectation, item.node, &item.state, false)
-            {
-                complete = false;
-                stop_reason = Some("stopped at first violation");
-                break 'search;
+            if p.violated_at(model, &item.state) {
+                report!(p.name, p.expectation, item.node, &item.state);
             }
         }
 
@@ -220,12 +214,8 @@ pub(crate) fn run<M: Model>(checker: &Checker<M>) -> CheckResult<M> {
             let missing = all_ebits & !item.ebits;
             if missing != 0 {
                 for (i, p) in props.eventually.iter().enumerate() {
-                    if missing & (1 << i) != 0
-                        && report!(p.name, p.expectation, item.node, &item.state, false)
-                    {
-                        complete = false;
-                        stop_reason = Some("stopped at first violation");
-                        break 'search;
+                    if missing & (1 << i) != 0 {
+                        report!(p.name, p.expectation, item.node, &item.state);
                     }
                 }
             }
@@ -412,19 +402,6 @@ mod tests {
             }
             crate::checker::Verdict::Complete => panic!("budget of zero cannot complete"),
         }
-    }
-
-    #[test]
-    fn fail_fast_stops_early() {
-        let slow = Checker::new(Counter {
-            max: 100,
-            forbid: Some(1),
-            must_reach: None,
-        })
-        .fail_fast(true)
-        .run();
-        assert!(!slow.complete);
-        assert_eq!(slow.violations.len(), 1);
     }
 
     #[test]

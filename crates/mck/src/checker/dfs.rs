@@ -33,12 +33,6 @@ struct Frame<M: Model> {
     pending: Vec<M::Action>,
 }
 
-/// Outcome signals threaded out of the traversal helpers.
-enum Flow {
-    Continue,
-    StopAll,
-}
-
 pub(crate) fn run<M: Model>(checker: &Checker<M>) -> CheckResult<M> {
     Dfs::new(checker).run()
 }
@@ -91,49 +85,43 @@ impl<'a, M: Model> Dfs<'a, M> {
         }
     }
 
-    fn record(&mut self, name: &'static str, expectation: crate::Expectation, lasso: bool,
-              witness: Path<M::State, M::Action>) -> Flow {
+    fn record(
+        &mut self,
+        name: &'static str,
+        expectation: crate::Expectation,
+        lasso: bool,
+        witness: &Path<M::State, M::Action>,
+    ) {
         if !self.violated_names.contains(&name) {
             self.violated_names.push(name);
             self.violations.push(Violation {
                 property: name,
                 expectation,
-                path: witness,
+                path: witness.clone(),
                 lasso,
             });
-            if self.checker.fail_fast {
-                self.complete = false;
-                self.stop_reason = Some("stopped at first violation");
-                return Flow::StopAll;
-            }
         }
-        Flow::Continue
     }
 
-    fn check_missing_eventually(&mut self, ebits: u32, lasso: bool,
-                                witness: &Path<M::State, M::Action>) -> Flow {
+    fn check_missing_eventually(
+        &mut self,
+        ebits: u32,
+        lasso: bool,
+        witness: &Path<M::State, M::Action>,
+    ) {
         let missing = self.all_ebits & !ebits;
-        if missing == 0 {
-            return Flow::Continue;
-        }
-        let hits: Vec<(usize, &'static str, crate::Expectation)> = self
-            .eventually
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| missing & (1 << i) != 0)
-            .map(|(i, p)| (i, p.name, p.expectation))
-            .collect();
-        for (_, name, exp) in hits {
-            if let Flow::StopAll = self.record(name, exp, lasso, witness.clone()) {
-                return Flow::StopAll;
+        for i in 0..self.eventually.len() {
+            if missing & (1 << i) != 0 {
+                let p = &self.eventually[i];
+                let (name, exp) = (p.name, p.expectation);
+                self.record(name, exp, lasso, witness);
             }
         }
-        Flow::Continue
     }
 
     /// Inspect a node just pushed on the stack: counters, safety checks,
     /// action enumeration, terminal-path eventually checks.
-    fn inspect_top(&mut self) -> Flow {
+    fn inspect_top(&mut self) {
         self.stats.unique_states += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.stack.len() - 1);
         self.stats.peak_frontier = self.stats.peak_frontier.max(self.stack.len());
@@ -146,10 +134,9 @@ impl<'a, M: Model> Dfs<'a, M> {
             .map(|p| (p.name, p.expectation))
             .collect();
         for (name, exp) in safety_hits {
-            let witness = self.path.as_ref().unwrap().clone();
-            if let Flow::StopAll = self.record(name, exp, false, witness) {
-                return Flow::StopAll;
-            }
+            let witness = self.path.take().unwrap();
+            self.record(name, exp, false, &witness);
+            self.path = Some(witness);
         }
 
         let within = self.checker.model.within_boundary(&state)
@@ -170,10 +157,10 @@ impl<'a, M: Model> Dfs<'a, M> {
 
         if self.stack.last().unwrap().pending.is_empty() {
             let ebits = self.stack.last().unwrap().ebits;
-            let witness = self.path.as_ref().unwrap().clone();
-            return self.check_missing_eventually(ebits, false, &witness);
+            let witness = self.path.take().unwrap();
+            self.check_missing_eventually(ebits, false, &witness);
+            self.path = Some(witness);
         }
-        Flow::Continue
     }
 
     fn run(mut self) -> CheckResult<M> {
@@ -202,10 +189,7 @@ impl<'a, M: Model> Dfs<'a, M> {
                 fp,
                 pending: Vec::new(),
             });
-            if let Flow::StopAll = self.inspect_top() {
-                self.stack.clear();
-                break;
-            }
+            self.inspect_top();
 
             'tree: while !self.stack.is_empty() {
                 if let Some(dl) = deadline {
@@ -239,10 +223,7 @@ impl<'a, M: Model> Dfs<'a, M> {
                     // Back edge into the stack: cycle with frozen ebits.
                     let mut witness = self.path.as_ref().unwrap().clone();
                     witness.push(action, next);
-                    if let Flow::StopAll = self.check_missing_eventually(ebits, true, &witness) {
-                        self.stack.clear();
-                        break 'tree;
-                    }
+                    self.check_missing_eventually(ebits, true, &witness);
                 } else if self.visited.insert(model, &next, ebits) {
                     if self.stats.unique_states >= self.checker.max_states {
                         self.complete = false;
@@ -258,10 +239,7 @@ impl<'a, M: Model> Dfs<'a, M> {
                         fp,
                         pending: Vec::new(),
                     });
-                    if let Flow::StopAll = self.inspect_top() {
-                        self.stack.clear();
-                        break 'tree;
-                    }
+                    self.inspect_top();
                 }
                 // else: fully explored elsewhere
             }
@@ -362,19 +340,6 @@ mod tests {
         })
         .run();
         assert!(result.holds(), "{:?}", result.violations);
-    }
-
-    #[test]
-    fn fail_fast_returns_single_violation() {
-        let result = dfs(Counter {
-            max: 50,
-            forbid: Some(2),
-            must_reach: Some(49),
-        })
-        .fail_fast(true)
-        .run();
-        assert_eq!(result.violations.len(), 1);
-        assert!(!result.complete);
     }
 
     #[test]

@@ -134,7 +134,7 @@ pub enum Verdict {
         /// Unique nodes checked before stopping.
         explored: u64,
         /// Human-readable cause ("state budget exhausted", "time budget
-        /// exhausted", "stopped at first violation", ...).
+        /// exhausted", "bitstate store (possible omissions)", ...).
         reason: String,
     },
 }
@@ -202,7 +202,6 @@ pub struct Checker<M: Model> {
     pub(crate) strategy: SearchStrategy,
     pub(crate) max_depth: usize,
     pub(crate) max_states: u64,
-    pub(crate) fail_fast: bool,
     pub(crate) time_budget: Option<Duration>,
     pub(crate) store: StoreMode,
     pub(crate) por: bool,
@@ -219,7 +218,6 @@ impl<M: Model> Checker<M> {
             strategy: SearchStrategy::Bfs,
             max_depth: 10_000,
             max_states: 50_000_000,
-            fail_fast: false,
             time_budget: None,
             store: StoreMode::HashCompact,
             por: false,
@@ -244,13 +242,6 @@ impl<M: Model> Checker<M> {
     /// Bound the number of unique nodes explored.
     pub fn max_states(mut self, states: u64) -> Self {
         self.max_states = states;
-        self
-    }
-
-    /// Stop the whole run at the first violation instead of continuing to
-    /// look for one violation per property.
-    pub fn fail_fast(mut self, yes: bool) -> Self {
-        self.fail_fast = yes;
         self
     }
 
