@@ -1,12 +1,14 @@
 //! Fleet-size scaling of the multi-UE carrier simulation.
 //!
 //! Each arm runs a uniform OP-II fleet (typical 4G behaviour) for one
-//! simulated week at UEs ∈ {1, 20, 200, 2000, 20k, 200k, 1M} on the
-//! host's full shard count, with ring-bounded traces (32 entries/UE) as a
-//! million-UE configuration must. The interesting shape is events/sec
-//! versus fleet size: the timing-wheel + arena kernel streams each shard
-//! through fixed-size lane blocks, so throughput must stay ≥ flat from
-//! the 20-UE arm to the 1M arm while resident bytes/UE stay bounded.
+//! simulated week at UEs ∈ {1, 20, 200, 2000, 20k, 200k, 1M} on one
+//! shard, with ring-bounded traces (32 entries/UE) as a million-UE
+//! configuration must. One shard on every host keeps rates from hosts
+//! with different CPU counts comparable. The interesting shape is
+//! events/sec versus fleet size: the timing-wheel + arena kernel streams
+//! the fleet through fixed-size lane blocks, so throughput must stay
+//! ≥ flat from the 20-UE arm to the 1M arm while resident bytes/UE stay
+//! bounded.
 //!
 //! Besides the criterion timings, the run rewrites `BENCH_fleet.json` in
 //! the workspace root: the committed baseline recording events/sec,
@@ -22,7 +24,10 @@ use serde_json::Value;
 const FLEET_SIZES: [usize; 7] = [1, 20, 200, 2_000, 20_000, 200_000, 1_000_000];
 const DAYS: u32 = 7;
 
-fn threads() -> usize {
+/// Every arm runs on one shard (inline, no worker threads).
+const SHARDS: usize = 1;
+
+fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
@@ -32,7 +37,7 @@ fn run_fleet(ues: usize) -> FleetReport {
     let mut cfg = FleetConfig::uniform(
         4204,
         DAYS,
-        threads(),
+        SHARDS,
         ues,
         UeSpec {
             op: op_ii(),
@@ -171,7 +176,8 @@ fn write_baseline() {
                     .into(),
             ),
         ),
-        ("host_cpus".into(), Value::U64(threads() as u64)),
+        ("host_cpus".into(), Value::U64(host_cpus() as u64)),
+        ("shards".into(), Value::U64(SHARDS as u64)),
         ("arms".into(), Value::Seq(arms)),
     ]);
     if filter.is_some() {
