@@ -57,6 +57,5 @@ pub use decouple::{csfb_switch_never_blocked, decoupling_gain, figure13, Fig13Ro
 pub use parallel_mm::{figure12_right, measure_call_delay, CallDelayPoint};
 pub use scheduler::{schedule, sharing_comparison, DeviceLoad, SchedulerOutcome, SharingScheme};
 pub use shim::{
-    figure12_left, figure12_left_adversarial, figure12_left_adversarial_run, figure12_left_run,
-    ShimEndpoint, ShimFrame,
+    figure12_left, figure12_left_adversarial, figure12_left_run, ShimEndpoint, ShimFrame,
 };

@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use cellstack::NasMessage;
+use netsim::FaultPolicy;
 
 /// Frames exchanged by two shim endpoints.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,141 +128,21 @@ impl ShimEndpoint {
 /// number of *implicit detaches* observed.
 ///
 /// The exchange uses the real EMM machines from `cellstack`; the lossy leg
-/// is the device→MME uplink. With the shim, every uplink NAS message rides
-/// in a sequenced frame that is retransmitted until acknowledged and
-/// de-duplicated at the MME, so no loss-induced state divergence survives.
-pub fn figure12_left_run(drop_rate: f64, cycles: u32, with_shim: bool, seed: u64) -> u32 {
-    use cellstack::emm::{
-        EmmDevice, EmmDeviceInput, EmmDeviceOutput, MmeEmm, MmeInput, MmeOutput,
-    };
-    use cellstack::{NasMessage, Registration, UpdateKind};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut detaches = 0u32;
-
-    for _ in 0..cycles {
-        let mut dev = EmmDevice::new();
-        let mut mme = MmeEmm::new();
-        let mut dev_shim = ShimEndpoint::new();
-        let mut mme_shim = ShimEndpoint::new();
-
-        // Transmit one uplink NAS message over the lossy leg; returns the
-        // messages the MME's upper layer receives.
-        let uplink = |msg: NasMessage,
-                          rng: &mut StdRng,
-                          dev_shim: &mut ShimEndpoint,
-                          mme_shim: &mut ShimEndpoint|
-         -> Vec<NasMessage> {
-            if with_shim {
-                let mut frame = dev_shim.send(msg);
-                // Retransmit until the frame survives the lossy leg; the
-                // ACK leg is treated as reliable (BS->core is wired).
-                loop {
-                    if rng.gen::<f64>() >= drop_rate {
-                        let (delivered, ack) = mme_shim.on_receive(frame);
-                        if let Some(ack) = ack {
-                            dev_shim.on_receive(ack);
-                        }
-                        return delivered;
-                    }
-                    let frames = dev_shim.on_retransmit_timer();
-                    frame = frames.into_iter().next().expect("unacked frame");
-                }
-            } else if rng.gen::<f64>() >= drop_rate {
-                vec![msg]
-            } else {
-                Vec::new()
-            }
-        };
-
-        // Drive one attach + one tracking-area update.
-        let mut dev_out = Vec::new();
-        dev.on_input(EmmDeviceInput::AttachTrigger, &mut dev_out);
-        let mut downlink: Vec<NasMessage> = Vec::new();
-        // A bounded number of exchange rounds per cycle.
-        let mut tau_done = false;
-        let mut tau_sent = false;
-        for _round in 0..40 {
-            // Process device outputs -> uplink -> MME -> downlink.
-            let outs = std::mem::take(&mut dev_out);
-            for o in outs {
-                if let EmmDeviceOutput::Send(msg) = o {
-                    for m in uplink(msg, &mut rng, &mut dev_shim, &mut mme_shim) {
-                        let mut mo = Vec::new();
-                        mme.on_input(MmeInput::Uplink(m), &mut mo);
-                        for x in mo {
-                            if let MmeOutput::Send(d) = x {
-                                downlink.push(d);
-                            }
-                        }
-                    }
-                }
-            }
-            // Deliver downlink (reliable).
-            for m in std::mem::take(&mut downlink) {
-                let detach = matches!(
-                    m,
-                    NasMessage::UpdateReject(UpdateKind::TrackingArea, _)
-                        | NasMessage::NetworkDetach(_)
-                );
-                let mut o = Vec::new();
-                dev.on_input(EmmDeviceInput::Network(m), &mut o);
-                if detach
-                    && o.iter().any(|e| {
-                        matches!(e, EmmDeviceOutput::RegChanged(Registration::Deregistered))
-                    })
-                {
-                    detaches += 1;
-                    tau_done = true; // cycle ends in failure
-                }
-                dev_out.extend(o);
-            }
-            if dev.state == cellstack::emm::EmmDeviceState::Registered && !tau_sent {
-                tau_sent = true;
-                dev.on_input(EmmDeviceInput::TauTrigger, &mut dev_out);
-            } else if dev.state == cellstack::emm::EmmDeviceState::Registered && tau_sent {
-                tau_done = true;
-            } else if dev.state == cellstack::emm::EmmDeviceState::RegisteredInitiated
-                && dev_out.is_empty()
-            {
-                // Attach request lost without shim: retry timer.
-                dev.on_input(EmmDeviceInput::RetryTimer, &mut dev_out);
-            } else if dev.state == cellstack::emm::EmmDeviceState::TauInitiated
-                && dev_out.is_empty()
-                && downlink.is_empty()
-            {
-                // TAU request lost without shim: retransmit on T3430.
-                dev.on_input(EmmDeviceInput::TauTrigger, &mut dev_out);
-            }
-            if tau_done && dev_out.is_empty() {
-                break;
-            }
-        }
-    }
-    detaches
-}
-
-/// Figure 12-left re-run under the generalized signaling adversary: the
-/// uplink leg is driven by a [`netsim::FaultPolicy`], so on top of drops it
-/// now *reorders* frames (an earlier message lands after a later one) and
+/// is the device→MME uplink, driven by a [`FaultPolicy`] that makes
+/// one draw per transmission. The paper's sweep uses a drop-only policy
+/// ([`FaultPolicy::dropping`]); the generalized adversary also
+/// *reorders* frames (an earlier message lands after a later one) and
 /// *corrupts* them (the receiver's integrity check discards the frame, TS
-/// 24.301 §4.4.4.2). Returns the implicit-detach count, as
-/// [`figure12_left_run`] does.
+/// 24.301 §4.4.4.2).
 ///
-/// With the shim, a corrupted or reordered frame is just an unacknowledged
-/// frame: the go-back-N sender retransmits in order and the receiver
-/// suppresses the stale copy when it finally lands. Without the shim, a
-/// late-landing NAS message is exactly the out-of-sequence delivery of §5.2.
-pub fn figure12_left_adversarial_run(
-    policy: &netsim::FaultPolicy,
-    cycles: u32,
-    with_shim: bool,
-    seed: u64,
-) -> u32 {
+/// With the shim, every uplink NAS message rides in a sequenced frame that
+/// is retransmitted until acknowledged and de-duplicated at the MME, so a
+/// lost, corrupted or reordered frame is just an unacknowledged one and no
+/// loss-induced state divergence survives. Without the shim, a late-landing
+/// NAS message is exactly the out-of-sequence delivery of §5.2.
+pub fn figure12_left_run(policy: &FaultPolicy, cycles: u32, with_shim: bool, seed: u64) -> u32 {
     use cellstack::emm::{
-        EmmDevice, EmmDeviceInput, EmmDeviceOutput, MmeEmm, MmeInput, MmeOutput,
+        EmmDevice, EmmDeviceInput, EmmDeviceOutput, EmmDeviceState, MmeEmm, MmeInput, MmeOutput,
     };
     use cellstack::{NasMessage, Registration, UpdateKind};
     use netsim::AdvFate;
@@ -281,17 +162,20 @@ pub fn figure12_left_adversarial_run(
         let mut held_plain: Vec<NasMessage> = Vec::new();
         let mut held_frames: Vec<ShimFrame> = Vec::new();
 
+        // Transmit one uplink NAS message over the faulty leg; returns the
+        // messages the MME's upper layer receives.
         let uplink = |msg: NasMessage,
-                          rng: &mut StdRng,
-                          dev_shim: &mut ShimEndpoint,
-                          mme_shim: &mut ShimEndpoint,
-                          held_plain: &mut Vec<NasMessage>,
-                          held_frames: &mut Vec<ShimFrame>|
+                      rng: &mut StdRng,
+                      dev_shim: &mut ShimEndpoint,
+                      mme_shim: &mut ShimEndpoint,
+                      held_plain: &mut Vec<NasMessage>,
+                      held_frames: &mut Vec<ShimFrame>|
          -> Vec<NasMessage> {
             if with_shim {
+                // The ACK leg is treated as reliable (BS->core is wired).
                 let deliver = |frame: ShimFrame,
-                                   dev_shim: &mut ShimEndpoint,
-                                   mme_shim: &mut ShimEndpoint|
+                               dev_shim: &mut ShimEndpoint,
+                               mme_shim: &mut ShimEndpoint|
                  -> Vec<NasMessage> {
                     let (d, ack) = mme_shim.on_receive(frame);
                     if let Some(a) = ack {
@@ -350,12 +234,15 @@ pub fn figure12_left_adversarial_run(
             }
         };
 
+        // Drive one attach + one tracking-area update.
         let mut dev_out = Vec::new();
         dev.on_input(EmmDeviceInput::AttachTrigger, &mut dev_out);
         let mut downlink: Vec<NasMessage> = Vec::new();
+        // A bounded number of exchange rounds per cycle.
         let mut tau_done = false;
         let mut tau_sent = false;
         for _round in 0..40 {
+            // Process device outputs -> uplink -> MME -> downlink.
             let outs = std::mem::take(&mut dev_out);
             for o in outs {
                 if let EmmDeviceOutput::Send(msg) = o {
@@ -377,6 +264,7 @@ pub fn figure12_left_adversarial_run(
                     }
                 }
             }
+            // Deliver downlink (reliable).
             for m in std::mem::take(&mut downlink) {
                 let detach = matches!(
                     m,
@@ -391,23 +279,23 @@ pub fn figure12_left_adversarial_run(
                     })
                 {
                     detaches += 1;
-                    tau_done = true;
+                    tau_done = true; // cycle ends in failure
                 }
                 dev_out.extend(o);
             }
-            if dev.state == cellstack::emm::EmmDeviceState::Registered && !tau_sent {
+            if dev.state == EmmDeviceState::Registered && !tau_sent {
                 tau_sent = true;
                 dev.on_input(EmmDeviceInput::TauTrigger, &mut dev_out);
-            } else if dev.state == cellstack::emm::EmmDeviceState::Registered && tau_sent {
+            } else if dev.state == EmmDeviceState::Registered && tau_sent {
                 tau_done = true;
-            } else if dev.state == cellstack::emm::EmmDeviceState::RegisteredInitiated
-                && dev_out.is_empty()
-            {
+            } else if dev.state == EmmDeviceState::RegisteredInitiated && dev_out.is_empty() {
+                // Attach request lost without shim: retry timer.
                 dev.on_input(EmmDeviceInput::RetryTimer, &mut dev_out);
-            } else if dev.state == cellstack::emm::EmmDeviceState::TauInitiated
+            } else if dev.state == EmmDeviceState::TauInitiated
                 && dev_out.is_empty()
                 && downlink.is_empty()
             {
+                // TAU request lost without shim: retransmit on T3430.
                 dev.on_input(EmmDeviceInput::TauTrigger, &mut dev_out);
             }
             if tau_done && dev_out.is_empty() {
@@ -428,11 +316,21 @@ pub fn figure12_left(seed: u64) -> (Fig12Series, Fig12Series) {
     let rates = [0.0, 0.02, 0.04, 0.06, 0.08, 0.10];
     let with: Vec<_> = rates
         .iter()
-        .map(|&r| (r * 100.0, figure12_left_run(r, 100, true, seed)))
+        .map(|&r| {
+            (
+                r * 100.0,
+                figure12_left_run(&FaultPolicy::dropping(r), 100, true, seed),
+            )
+        })
         .collect();
     let without: Vec<_> = rates
         .iter()
-        .map(|&r| (r * 100.0, figure12_left_run(r, 100, false, seed ^ 1)))
+        .map(|&r| {
+            (
+                r * 100.0,
+                figure12_left_run(&FaultPolicy::dropping(r), 100, false, seed ^ 1),
+            )
+        })
         .collect();
     (with, without)
 }
@@ -442,28 +340,23 @@ pub fn figure12_left(seed: u64) -> (Fig12Series, Fig12Series) {
 /// `x/2 %`. Returns `(with_solution, without_solution)` series.
 pub fn figure12_left_adversarial(seed: u64) -> (Fig12Series, Fig12Series) {
     let rates = [0.0, 0.02, 0.04, 0.06, 0.08, 0.10];
-    let policy_at = |r: f64| netsim::FaultPolicy {
+    let policy_at = |r: f64| FaultPolicy {
         drop_rate: r,
         reorder_rate: r,
         corrupt_rate: r / 2.0,
         reorder_hold_ms: 50,
-        ..netsim::FaultPolicy::default()
+        ..FaultPolicy::default()
     };
     let with: Vec<_> = rates
         .iter()
-        .map(|&r| {
-            (
-                r * 100.0,
-                figure12_left_adversarial_run(&policy_at(r), 100, true, seed),
-            )
-        })
+        .map(|&r| (r * 100.0, figure12_left_run(&policy_at(r), 100, true, seed)))
         .collect();
     let without: Vec<_> = rates
         .iter()
         .map(|&r| {
             (
                 r * 100.0,
-                figure12_left_adversarial_run(&policy_at(r), 100, false, seed ^ 1),
+                figure12_left_run(&policy_at(r), 100, false, seed ^ 1),
             )
         })
         .collect();
@@ -564,14 +457,20 @@ mod tests {
 
     #[test]
     fn figure12_left_zero_drop_zero_detach_both_ways() {
-        assert_eq!(figure12_left_run(0.0, 100, false, 1), 0);
-        assert_eq!(figure12_left_run(0.0, 100, true, 1), 0);
+        assert_eq!(
+            figure12_left_run(&FaultPolicy::dropping(0.0), 100, false, 1),
+            0
+        );
+        assert_eq!(
+            figure12_left_run(&FaultPolicy::dropping(0.0), 100, true, 1),
+            0
+        );
     }
 
     #[test]
     fn figure12_left_without_solution_detaches_grow_with_drop_rate() {
-        let low = figure12_left_run(0.02, 100, false, 2);
-        let high = figure12_left_run(0.10, 100, false, 2);
+        let low = figure12_left_run(&FaultPolicy::dropping(0.02), 100, false, 2);
+        let high = figure12_left_run(&FaultPolicy::dropping(0.10), 100, false, 2);
         assert!(high > 0, "10% drop must cause detaches");
         assert!(high >= low, "roughly linear growth: {low} -> {high}");
     }
@@ -580,7 +479,7 @@ mod tests {
     fn figure12_left_with_solution_never_detaches() {
         for rate in [0.02, 0.06, 0.10, 0.3] {
             assert_eq!(
-                figure12_left_run(rate, 100, true, 3),
+                figure12_left_run(&FaultPolicy::dropping(rate), 100, true, 3),
                 0,
                 "shim must eliminate detaches at drop rate {rate}"
             );
@@ -599,42 +498,42 @@ mod tests {
     fn adversarial_f12l_shim_still_eliminates_detaches() {
         // Reordering and corruption on top of drops: the go-back-N shim
         // must still hold implicit detaches at zero.
-        let policy = netsim::FaultPolicy {
+        let policy = FaultPolicy {
             drop_rate: 0.10,
             reorder_rate: 0.10,
             corrupt_rate: 0.05,
             reorder_hold_ms: 50,
-            ..netsim::FaultPolicy::default()
+            ..FaultPolicy::default()
         };
-        assert_eq!(figure12_left_adversarial_run(&policy, 100, true, 11), 0);
+        assert_eq!(figure12_left_run(&policy, 100, true, 11), 0);
     }
 
     #[test]
     fn adversarial_f12l_without_shim_detaches() {
-        let policy = netsim::FaultPolicy {
+        let policy = FaultPolicy {
             drop_rate: 0.10,
             reorder_rate: 0.10,
             corrupt_rate: 0.05,
             reorder_hold_ms: 50,
-            ..netsim::FaultPolicy::default()
+            ..FaultPolicy::default()
         };
         assert!(
-            figure12_left_adversarial_run(&policy, 100, false, 11) > 0,
+            figure12_left_run(&policy, 100, false, 11) > 0,
             "the bare exchange must implicitly detach under the adversary"
         );
     }
 
     #[test]
     fn adversarial_f12l_is_deterministic_per_seed() {
-        let policy = netsim::FaultPolicy {
+        let policy = FaultPolicy {
             drop_rate: 0.06,
             reorder_rate: 0.06,
             corrupt_rate: 0.03,
             reorder_hold_ms: 50,
-            ..netsim::FaultPolicy::default()
+            ..FaultPolicy::default()
         };
-        let a = figure12_left_adversarial_run(&policy, 100, false, 5);
-        let b = figure12_left_adversarial_run(&policy, 100, false, 5);
+        let a = figure12_left_run(&policy, 100, false, 5);
+        let b = figure12_left_run(&policy, 100, false, 5);
         assert_eq!(a, b);
     }
 
