@@ -8,16 +8,18 @@
 //! trimmed 10^6-state `NUeModel` through every store mode under the
 //! spillable frontier — the configuration the 10^8-state sweep uses.
 //!
-//! Besides the criterion timings, the run rewrites `BENCH_parallel.json` in
-//! the workspace root (worker arms + store-mode rows with bytes/state,
-//! compression ratio and peak RSS) and appends the headline numbers to the
-//! longitudinal `BENCH_trend.json`. Strategy, engine and model strings all
-//! come from the engine configuration itself (`SearchStrategy::label`,
+//! The run rewrites `BENCH_parallel.json` in the workspace root (worker
+//! arms + store-mode rows with bytes/state, compression ratio and peak RSS)
+//! and appends the headline numbers to the longitudinal `BENCH_trend.json`.
+//! Strategy, engine and model strings all come from the engine
+//! configuration itself (`SearchStrategy::label`,
 //! `Checker::describe_config`, `Model::describe`), never from string
 //! literals at the call site.
+//!
+//! Run with `cargo bench -p cnv-bench --bench parallel_scaling` (about a
+//! minute).
 
 use cnetverifier::models::nue::NUeModel;
-use criterion::{criterion_group, BenchmarkId, Criterion};
 use mck::{Checker, Model, SearchStrategy, StoreMode};
 use serde_json::Value;
 
@@ -63,18 +65,6 @@ fn explore(workers: usize) -> mck::CheckResult<OctalTree> {
     result
 }
 
-fn parallel_scaling(c: &mut Criterion) {
-    let mut g = c.benchmark_group("parallel_scaling");
-    for workers in WORKER_COUNTS {
-        g.bench_function(BenchmarkId::new("octal_tree_1m", workers), |b| {
-            b.iter(|| explore(workers))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, parallel_scaling);
-
 /// One store-mode row on the trimmed N-UE model: engine config string,
 /// coverage, bytes/state and throughput, measured under the spillable
 /// frontier with path tracking off. Also returns bytes/state, states/s and
@@ -117,9 +107,9 @@ fn store_mode_row(store: StoreMode, por: bool) -> (Value, f64, f64, bool) {
     )
 }
 
-/// Re-measure each arm (best of 3, to shed scheduler noise) and rewrite the
+/// Measure each arm (best of 3, to shed scheduler noise) and rewrite the
 /// committed baseline; then append the headline numbers to `BENCH_trend.json`.
-fn write_baseline() {
+fn main() {
     let mut best_1worker = 0.0f64;
     let arms: Vec<Value> = WORKER_COUNTS
         .iter()
@@ -228,9 +218,4 @@ fn write_baseline() {
         ],
     )
     .expect("append BENCH_trend.json");
-}
-
-fn main() {
-    benches();
-    write_baseline();
 }

@@ -1,16 +1,20 @@
 //! `cnv-bench` — experiment drivers shared by the `repro` binary and the
-//! Criterion benchmarks.
+//! two baseline writers (`benches/fleet_scaling.rs`,
+//! `benches/parallel_scaling.rs`).
 //!
 //! Each public function regenerates the data behind one of the paper's
 //! evaluation artifacts (see DESIGN.md's experiment index). The `repro`
-//! binary formats them as paper-style tables; the benches measure how fast
-//! the underlying engines run.
+//! binary formats them as paper-style tables; the baseline writers record
+//! fleet and checker throughput in the `BENCH_*.json` files.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cellstack::{PdpDeactivationCause, RatSystem, UpdateKind};
-use netsim::{op_i, op_ii, Drive, Ev, OperatorProfile, Route, SimTime, World, WorldConfig};
+use netsim::{
+    op_i, op_ii, BehaviorProfile, Drive, Ev, FleetConfig, OperatorProfile, Route, SimTime, UeSpec,
+    World, WorldConfig,
+};
 
 /// Summary statistics of a millisecond series.
 #[derive(Clone, Copy, Debug, Default)]
@@ -265,6 +269,23 @@ pub fn table6_stuck_durations(op: OperatorProfile, calls: u32, seed: u64) -> Vec
 /// Convenience: both carrier profiles.
 pub fn carriers() -> [OperatorProfile; 2] {
     [op_i(), op_ii()]
+}
+
+/// The fleet-scaling arm: `ues` phones on OP-II with typical 4G behaviour
+/// for one simulated week, on one shard, with 32-entry trace rings. Both
+/// `repro --exp fleet` (whose 20k-UE row CI holds to a throughput floor)
+/// and the `fleet_scaling` baseline writer run this configuration. One
+/// shard on every host keeps events/s comparable across machines, and
+/// bounded rings on every arm keep a million-UE arm within memory and the
+/// trace cost alike across arms.
+pub fn uniform_week(seed: u64, ues: usize) -> FleetConfig {
+    let spec = UeSpec {
+        op: op_ii(),
+        behavior: BehaviorProfile::typical_4g(),
+    };
+    let mut cfg = FleetConfig::uniform(seed, 7, 1, ues, spec);
+    cfg.trace_capacity = Some(32);
+    cfg
 }
 
 // ---------------------------------------------------------------------
