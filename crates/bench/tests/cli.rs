@@ -66,3 +66,13 @@ fn unparsable_rss_budget_is_rejected_before_the_sweep() {
         "the diagnostic names the variable and its value: {stderr}"
     );
 }
+
+#[test]
+fn unrecognised_statespace_full_is_rejected_before_the_sweep() {
+    let out = repro_with_env(&["--exp", "statespace"], &[("STATESPACE_FULL", "yes")]);
+    let stderr = assert_rejected(&out, "STATESPACE_FULL=yes");
+    assert!(
+        stderr.contains("STATESPACE_FULL") && stderr.contains("`yes`"),
+        "the diagnostic names the variable and its value: {stderr}"
+    );
+}

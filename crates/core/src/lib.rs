@@ -58,8 +58,8 @@ pub use findings::{Category, Finding, Instance, Phase};
 pub use insights::{insight_for, lesson_for, Insight, Lesson, INSIGHTS, LESSONS};
 pub use monitor::{MatchedEvent, Verdict};
 pub use remedydiff::{
-    diff_matrix, overlay_agreement, partial_reliable_shim, render_matrix,
-    render_overlay_agreement, DiffRow, FaultCampaign, OverlayCheck, PropDiff,
+    diff_matrix, overlay_agreement, partial_reliable_shim, render_matrix, render_overlay_agreement,
+    DiffRow, Edit, FaultCampaign, OverlayCheck, PropDiff,
 };
 pub use screening::{
     fiveg_corpus_check, load_specs, run_screening_deterministic, run_screening_remedied,

@@ -49,17 +49,33 @@ impl AttachModel {
         }
     }
 
-    /// Reliable, in-order, retransmission-free transport on both legs —
-    /// what the §8 shim provides end-to-end (its ACKs also make timer
-    /// retransmissions unnecessary, and its sequence numbers de-duplicate
-    /// any that still happen): `PacketService_OK` must hold.
+    /// The paper configuration with the §8 shim deployed
+    /// ([`Self::reliable_shim`]): `PacketService_OK` must hold.
     pub fn with_reliable_transport() -> Self {
-        Self {
-            uplink: ChanSemantics::reliable(4),
-            downlink: ChanSemantics::reliable(4),
-            tau_budget: 2,
-            retry_budget: 0,
-        }
+        Self::paper().reliable_shim()
+    }
+
+    /// The registry's `reliable_shim` remedy (S2): a reliable, in-order
+    /// uplink and no timer retransmissions — what the §8 shim provides
+    /// end-to-end over the already reliable downlink (its ACKs make timer
+    /// retransmissions unnecessary, and its sequence numbers de-duplicate
+    /// any that still happen).
+    pub fn reliable_shim(mut self) -> Self {
+        self.uplink = ChanSemantics::reliable(4);
+        self.retry_budget = 0;
+        self
+    }
+
+    /// An uplink that loses but never duplicates, so loss is its only
+    /// hazard. This is both the `drop-only` fault campaign and the
+    /// `reliable_shim/no-retx` probe: a shim with sequence numbers but no
+    /// retransmission suppresses duplicates and cannot recover a loss.
+    pub fn drop_only(mut self) -> Self {
+        self.uplink = ChanSemantics {
+            duplicating: false,
+            ..ChanSemantics::unreliable(4)
+        };
+        self
     }
 }
 

@@ -42,7 +42,14 @@ impl CrossSysLuModel {
 
     /// The §8-remedied MME.
     pub fn remedied() -> Self {
-        Self { remedy: true }
+        Self::paper().mme_lu_recovery()
+    }
+
+    /// The registry's `mme_lu_recovery` remedy (S6): the MME absorbs the
+    /// LU failure and recovers in-core.
+    pub fn mme_lu_recovery(mut self) -> Self {
+        self.remedy = true;
+        self
     }
 }
 

@@ -90,7 +90,7 @@ impl Ue {
         if cfg.phone_quirk {
             stack.emm.quirk_tau_before_detach = true;
         }
-        if cfg.device_remedies {
+        if cfg.op.device_remedies {
             stack = stack.with_remedies();
         }
         if cfg.nas_retx {

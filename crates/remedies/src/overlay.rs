@@ -1,24 +1,21 @@
-//! Declarative remedy overlays: §8 remedies as spec-to-spec transformations.
+//! The §8 remedy registry: what each remedy is, not how it is applied.
 //!
 //! The paper presents each remedy as a *small delta* on an existing
 //! protocol spec — a channel made reliable, a budget changed, a flag
-//! flipped on one machine. This module makes that delta a first-class
-//! value: a [`RemedyOverlay`] names the remedy, classifies it under the
-//! paper's three solution modules ([`RemedyClass`]), targets a problematic
-//! interaction instance (S1–S6), and carries the list of [`OverlayEdit`]s
-//! that transform the base spec into the remedied one.
-//!
-//! Anything that knows how to interpret those edits — a hand-written
-//! `mck` model in the core crate, a [`netsim::OperatorProfile`] here —
-//! implements [`Overlayable`] and can be remedied generically. Where a
-//! `.specl` source exists for the instance, the overlay also points at a
+//! flipped on one machine. A [`RemedyOverlay`] names the remedy,
+//! classifies it under the paper's three solution modules
+//! ([`RemedyClass`]) and targets a problematic interaction instance
+//! (S1–S6). The delta itself is a typed edit, `fn(M) -> M`, defined once
+//! on the one type that understands it: a hand-written screening model in
+//! the core crate (`SwitchContextModel::bearer_reactivation`,
+//! `AttachModel::reliable_shim`, …), or
+//! [`netsim::OperatorProfile::remedied`] for the fleet rollout. Where a
+//! `.specl` source exists for the instance, the entry also points at a
 //! specl module overlay under `specs/remedies/` (applied with
-//! `specl::apply_overlay`), so the *same* remedy is checkable at the spec
-//! level and runnable at the fleet level.
+//! `specl::apply_overlay`), so the same remedy is checkable at the spec
+//! level.
 //!
 //! [`registry`] enumerates the six §8 remedies the repo models.
-
-use netsim::OperatorProfile;
 
 /// The paper's three solution modules (§8, Figure 11).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -45,73 +42,9 @@ impl RemedyClass {
     }
 }
 
-/// Channel semantics named by a [`OverlayEdit::SetChannel`] edit. Mirrors
-/// the fields of `mck::ChanSemantics` without depending on `mck` (the
-/// interpretation lives with the [`Overlayable`] implementor).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChannelSpec {
-    /// Deliveries may be dropped.
-    pub lossy: bool,
-    /// Deliveries may be duplicated.
-    pub duplicating: bool,
-    /// Deliveries may be reordered.
-    pub reordering: bool,
-    /// Queue capacity.
-    pub capacity: usize,
-}
-
-impl ChannelSpec {
-    /// A reliable FIFO channel of the given capacity.
-    pub fn reliable(capacity: usize) -> Self {
-        Self {
-            lossy: false,
-            duplicating: false,
-            reordering: false,
-            capacity,
-        }
-    }
-
-    /// A lossy, duplicating FIFO channel (the paper's radio-leg default).
-    pub fn unreliable(capacity: usize) -> Self {
-        Self {
-            lossy: true,
-            duplicating: true,
-            reordering: false,
-            capacity,
-        }
-    }
-}
-
-/// One edit of a remedy overlay. Field names are interpreted by the
-/// [`Overlayable`] target; unknown names are a programming error the
-/// implementor reports via [`Overlayable::apply_edit`]'s return value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum OverlayEdit {
-    /// Set a boolean configuration flag (e.g. `csfb_tag_remedy`).
-    SetFlag {
-        /// Target-defined flag name.
-        field: &'static str,
-        /// New value.
-        value: bool,
-    },
-    /// Set an integer budget or counter (e.g. `retry_budget`).
-    SetBudget {
-        /// Target-defined budget name.
-        field: &'static str,
-        /// New value.
-        value: u8,
-    },
-    /// Replace a channel's semantics (e.g. make `uplink` reliable).
-    SetChannel {
-        /// Target-defined channel name.
-        chan: &'static str,
-        /// New semantics.
-        spec: ChannelSpec,
-    },
-}
-
-/// A named §8 remedy as a declarative spec-to-spec transformation.
-#[derive(Clone, Debug)]
+/// A named §8 remedy: what it is, where the paper describes it, and which
+/// instance it targets.
+#[derive(Clone, Copy, Debug)]
 pub struct RemedyOverlay {
     /// Stable remedy identifier (keys the differential matrix).
     pub name: &'static str,
@@ -121,153 +54,67 @@ pub struct RemedyOverlay {
     pub instance: &'static str,
     /// Where the paper describes it.
     pub paper_ref: &'static str,
-    /// The edits, applied in order.
-    pub edits: Vec<OverlayEdit>,
     /// Relative path (from the repo root) of the specl module overlay
     /// expressing the same remedy at the spec level, when one exists.
     pub spec_overlay: Option<&'static str>,
 }
 
-impl RemedyOverlay {
-    /// Apply this overlay to `base`, returning the remedied value.
-    ///
-    /// Panics if the target rejects an edit — overlays in [`registry`]
-    /// are paired with their targets by construction, so a rejection is a
-    /// bug, not an input error.
-    pub fn apply<T: Overlayable>(&self, base: &T) -> T {
-        let mut out = base.clone();
-        for edit in &self.edits {
-            assert!(
-                out.apply_edit(edit),
-                "overlay `{}` edit {:?} not understood by target",
-                self.name,
-                edit
-            );
-        }
-        out
-    }
-}
-
-/// A configuration a [`RemedyOverlay`] can transform.
-pub trait Overlayable: Clone {
-    /// Apply one edit in place. Returns `false` when the edit names a
-    /// field or channel this target does not have.
-    fn apply_edit(&mut self, edit: &OverlayEdit) -> bool;
-}
-
 /// The six §8 remedies, in instance order S1–S6.
 ///
-/// Each entry's edits are interpreted by the hand-written model of its
-/// instance (in the core crate) and, for the operator-level rollout, by
-/// [`OperatorProfile`]. The two entries with `.specl` sources also carry
-/// spec overlays.
-pub fn registry() -> Vec<RemedyOverlay> {
-    vec![
-        RemedyOverlay {
-            name: "bearer_reactivation",
-            class: RemedyClass::CrossSystemCoordination,
-            instance: "S1",
-            paper_ref: "§8, cross-system coordination (reactivate, don't detach)",
-            edits: vec![OverlayEdit::SetFlag {
-                field: "remedy_reactivate_bearer",
-                value: true,
-            }],
-            spec_overlay: None,
-        },
-        RemedyOverlay {
-            name: "reliable_shim",
-            class: RemedyClass::LayerExtension,
-            instance: "S2",
-            paper_ref: "§8, layer extension (reliable in-order EMM/RRC shim)",
-            edits: vec![
-                OverlayEdit::SetChannel {
-                    chan: "uplink",
-                    spec: ChannelSpec::reliable(4),
-                },
-                OverlayEdit::SetBudget {
-                    field: "retry_budget",
-                    value: 0,
-                },
-            ],
-            spec_overlay: Some("specs/remedies/attach_s2__reliable_shim.specl"),
-        },
-        RemedyOverlay {
-            name: "csfb_tag",
-            class: RemedyClass::DomainDecoupling,
-            instance: "S3",
-            paper_ref: "§8, domain decoupling (BS-side CSFB tag on return switch)",
-            edits: vec![OverlayEdit::SetFlag {
-                field: "csfb_tag_remedy",
-                value: true,
-            }],
-            spec_overlay: None,
-        },
-        RemedyOverlay {
-            name: "parallel_mm",
-            class: RemedyClass::LayerExtension,
-            instance: "S4",
-            paper_ref: "§8, layer extension (parallel MM/GMM threads)",
-            edits: vec![OverlayEdit::SetFlag {
-                field: "parallel_remedy",
-                value: true,
-            }],
-            spec_overlay: None,
-        },
-        RemedyOverlay {
-            name: "cs_ps_decoupling",
-            class: RemedyClass::DomainDecoupling,
-            instance: "S5",
-            paper_ref: "§8, domain decoupling (separate CS/PS channels)",
-            edits: vec![OverlayEdit::SetFlag {
-                field: "decoupled_channels",
-                value: true,
-            }],
-            spec_overlay: None,
-        },
-        RemedyOverlay {
-            name: "mme_lu_recovery",
-            class: RemedyClass::CrossSystemCoordination,
-            instance: "S6",
-            paper_ref: "§8, cross-system coordination (MME recovers LU failure in-core)",
-            edits: vec![OverlayEdit::SetFlag {
-                field: "forward_lu_failure",
-                value: false,
-            }],
-            spec_overlay: Some("specs/remedies/crosssys_lu_s6__mme_recovery.specl"),
-        },
-    ]
+/// S5's `cs_ps_decoupling` has no screening model to edit; its evaluation
+/// is Figure 13 ([`crate::decouple`]).
+pub fn registry() -> &'static [RemedyOverlay] {
+    &REGISTRY
 }
+
+static REGISTRY: [RemedyOverlay; 6] = [
+    RemedyOverlay {
+        name: "bearer_reactivation",
+        class: RemedyClass::CrossSystemCoordination,
+        instance: "S1",
+        paper_ref: "§8, cross-system coordination (reactivate, don't detach)",
+        spec_overlay: None,
+    },
+    RemedyOverlay {
+        name: "reliable_shim",
+        class: RemedyClass::LayerExtension,
+        instance: "S2",
+        paper_ref: "§8, layer extension (reliable in-order EMM/RRC shim)",
+        spec_overlay: Some("specs/remedies/attach_s2__reliable_shim.specl"),
+    },
+    RemedyOverlay {
+        name: "csfb_tag",
+        class: RemedyClass::DomainDecoupling,
+        instance: "S3",
+        paper_ref: "§8, domain decoupling (BS-side CSFB tag on return switch)",
+        spec_overlay: None,
+    },
+    RemedyOverlay {
+        name: "parallel_mm",
+        class: RemedyClass::LayerExtension,
+        instance: "S4",
+        paper_ref: "§8, layer extension (parallel MM/GMM threads)",
+        spec_overlay: None,
+    },
+    RemedyOverlay {
+        name: "cs_ps_decoupling",
+        class: RemedyClass::DomainDecoupling,
+        instance: "S5",
+        paper_ref: "§8, domain decoupling (separate CS/PS channels)",
+        spec_overlay: None,
+    },
+    RemedyOverlay {
+        name: "mme_lu_recovery",
+        class: RemedyClass::CrossSystemCoordination,
+        instance: "S6",
+        paper_ref: "§8, cross-system coordination (MME recovers LU failure in-core)",
+        spec_overlay: Some("specs/remedies/crosssys_lu_s6__mme_recovery.specl"),
+    },
+];
 
 /// The registry entry named `name`.
 pub fn remedy(name: &str) -> Option<RemedyOverlay> {
-    registry().into_iter().find(|r| r.name == name)
-}
-
-impl Overlayable for OperatorProfile {
-    /// The operator-level rollout interprets the device-side bundle
-    /// (`remedy_reactivate_bearer`, `parallel_remedy`) as
-    /// `device_remedies` and the core-side fix as `mme_lu_recovery`; the
-    /// model-only edits (channels, budgets, RRC flags) have no
-    /// operator-profile analogue and are rejected.
-    fn apply_edit(&mut self, edit: &OverlayEdit) -> bool {
-        match edit {
-            OverlayEdit::SetFlag {
-                field: "remedy_reactivate_bearer" | "parallel_remedy",
-                value,
-            } => {
-                self.device_remedies = *value;
-                true
-            }
-            OverlayEdit::SetFlag {
-                field: "forward_lu_failure",
-                value,
-            } => {
-                self.mme_lu_recovery = !*value;
-                true
-            }
-            _ => false,
-        }
-    }
+    registry().iter().find(|r| r.name == name).copied()
 }
 
 #[cfg(test)]
@@ -316,29 +163,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn operator_profile_interprets_the_fleet_facing_edits() {
-        let base = netsim::op_i();
-        let s1 = remedy("bearer_reactivation").unwrap().apply(&base);
-        assert!(s1.device_remedies && !s1.mme_lu_recovery);
-        let s6 = remedy("mme_lu_recovery").unwrap().apply(&base);
-        assert!(s6.mme_lu_recovery && !s6.device_remedies);
-    }
-
-    #[test]
-    #[should_panic(expected = "not understood")]
-    fn operator_profile_rejects_model_only_edits() {
-        remedy("reliable_shim").unwrap().apply(&netsim::op_i());
-    }
-
-    #[test]
-    fn channel_spec_constructors_match_the_radio_defaults() {
-        let r = ChannelSpec::reliable(4);
-        assert!(!r.lossy && !r.duplicating && !r.reordering);
-        let u = ChannelSpec::unreliable(4);
-        assert!(u.lossy && u.duplicating && !u.reordering);
-        assert_eq!(u.capacity, 4);
     }
 }
