@@ -161,7 +161,10 @@ pub trait Rng: RngCore {
     where
         Self: Sized,
     {
-        assert!((0.0..=1.0).contains(&p), "gen_bool probability out of range");
+        assert!(
+            (0.0..=1.0).contains(&p),
+            "gen_bool probability out of range"
+        );
         f64::from_rng(self) < p
     }
 }

@@ -17,8 +17,14 @@ enum Fields {
 }
 
 enum Item {
-    Struct { name: String, fields: Fields },
-    Enum { name: String, variants: Vec<(String, Fields)> },
+    Struct {
+        name: String,
+        fields: Fields,
+    },
+    Enum {
+        name: String,
+        variants: Vec<(String, Fields)>,
+    },
 }
 
 /// Derive `serde::Serialize` (streaming JSON writer).
@@ -65,7 +71,9 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     i += 1;
 
     if matches!(&tokens.get(i), Some(TokenTree::Punct(p)) if p.as_char() == '<') {
-        return Err(format!("generic type `{name}` is not supported by the offline serde derive"));
+        return Err(format!(
+            "generic type `{name}` is not supported by the offline serde derive"
+        ));
     }
 
     if kind == "struct" {

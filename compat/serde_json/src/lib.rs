@@ -31,7 +31,10 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Parse JSON text and rebuild a deserializable value.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: s.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -157,9 +160,7 @@ impl<'a> Parser<'a> {
                                     .ok_or_else(|| Error("invalid \\u code point".into()))?,
                             );
                         }
-                        other => {
-                            return Err(Error(format!("bad escape `\\{}`", other as char)))
-                        }
+                        other => return Err(Error(format!("bad escape `\\{}`", other as char))),
                     }
                 }
                 _ => return Err(Error("unterminated string".into())),
@@ -269,7 +270,10 @@ mod tests {
 
     #[test]
     fn roundtrip_vec_of_tuples() {
-        let v = vec![(1u64, "a".to_string(), true), (2, "b\"x".to_string(), false)];
+        let v = vec![
+            (1u64, "a".to_string(), true),
+            (2, "b\"x".to_string(), false),
+        ];
         let text = to_string(&v).unwrap();
         let back: Vec<(u64, String, bool)> = from_str(&text).unwrap();
         assert_eq!(back, v);

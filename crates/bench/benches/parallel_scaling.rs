@@ -91,13 +91,19 @@ fn store_mode_row(store: StoreMode, por: bool) -> (Value, f64, f64, bool) {
         ("engine".into(), Value::Str(engine)),
         ("unique_states".into(), Value::U64(r.stats.unique_states)),
         ("complete".into(), Value::Bool(r.complete)),
-        ("bytes_per_state".into(), Value::F64((bps * 10.0).round() / 10.0)),
+        (
+            "bytes_per_state".into(),
+            Value::F64((bps * 10.0).round() / 10.0),
+        ),
         ("states_per_sec".into(), Value::F64(sps.round())),
         (
             "omission_probability".into(),
             Value::F64(r.stats.omission_probability()),
         ),
-        ("spill_segments".into(), Value::U64(r.stats.store.spill_segments)),
+        (
+            "spill_segments".into(),
+            Value::U64(r.stats.store.spill_segments),
+        ),
     ]);
     (
         row,
@@ -141,7 +147,13 @@ fn main() {
         (StoreMode::Exact, false),
         (StoreMode::Collapse, false),
         (StoreMode::Collapse, true),
-        (StoreMode::Bitstate { log2_bits: 24, hashes: 3 }, false),
+        (
+            StoreMode::Bitstate {
+                log2_bits: 24,
+                hashes: 3,
+            },
+            false,
+        ),
     ];
     let mut modes = Vec::new();
     let (mut exact_bps, mut exact_sps) = (0.0f64, 0.0f64);
@@ -156,7 +168,11 @@ fn main() {
         }
         modes.push(row);
     }
-    let compression = if collapse_bps > 0.0 { exact_bps / collapse_bps } else { 0.0 };
+    let compression = if collapse_bps > 0.0 {
+        exact_bps / collapse_bps
+    } else {
+        0.0
+    };
     println!("baseline: collapse compression vs exact: {compression:.1}x");
     assert!(
         compression >= 4.0,
@@ -179,7 +195,10 @@ fn main() {
         // host every arm necessarily measures engine overhead, not scaling.
         ("host_cpus".into(), Value::U64(host_cpus)),
         ("arms".into(), Value::Seq(arms)),
-        ("store_model".into(), Value::Str(NUeModel::trimmed().describe())),
+        (
+            "store_model".into(),
+            Value::Str(NUeModel::trimmed().describe()),
+        ),
         (
             "collapse_compression_vs_exact".into(),
             Value::F64((compression * 10.0).round() / 10.0),
@@ -196,7 +215,10 @@ fn main() {
     cnv_bench::append_trend(
         "parallel_scaling",
         vec![
-            ("states_per_sec_1worker".into(), Value::F64(best_1worker.round())),
+            (
+                "states_per_sec_1worker".into(),
+                Value::F64(best_1worker.round()),
+            ),
             (
                 "collapse_states_per_sec".into(),
                 Value::F64(collapse_sps.round()),

@@ -342,8 +342,7 @@ pub fn append_trend(
         (
             "about".into(),
             Value::Str(
-                "longitudinal perf trend: one appended entry per baseline regeneration"
-                    .into(),
+                "longitudinal perf trend: one appended entry per baseline regeneration".into(),
             ),
         ),
         ("entries".into(), Value::Seq(entries)),

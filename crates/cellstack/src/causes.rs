@@ -52,10 +52,12 @@ impl PdpDeactivationCause {
     /// Who may trigger this cause (paper Table 3).
     pub fn originator(self) -> Originator {
         match self {
-            PdpDeactivationCause::InsufficientResources
-            | PdpDeactivationCause::QosNotAccepted => Originator::Device,
-            PdpDeactivationCause::LowLayerFailures
-            | PdpDeactivationCause::RegularDeactivation => Originator::Either,
+            PdpDeactivationCause::InsufficientResources | PdpDeactivationCause::QosNotAccepted => {
+                Originator::Device
+            }
+            PdpDeactivationCause::LowLayerFailures | PdpDeactivationCause::RegularDeactivation => {
+                Originator::Either
+            }
             PdpDeactivationCause::IncompatiblePdpContext
             | PdpDeactivationCause::OperatorDeterminedBarring => Originator::Network,
         }

@@ -77,7 +77,9 @@ pub struct CcDevice {
 impl CcDevice {
     /// A machine with no call.
     pub fn new() -> Self {
-        Self { state: CcState::Null }
+        Self {
+            state: CcState::Null,
+        }
     }
 
     /// Feed an input; outputs are appended to `out`.

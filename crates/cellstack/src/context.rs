@@ -125,9 +125,7 @@ impl PdpContext {
                     self.qos = self.qos.degraded();
                     DeactivationOutcome::KeptWithLowerQos
                 }
-                PdpDeactivationCause::IncompatiblePdpContext => {
-                    DeactivationOutcome::Modified
-                }
+                PdpDeactivationCause::IncompatiblePdpContext => DeactivationOutcome::Modified,
                 PdpDeactivationCause::RegularDeactivation => {
                     // Keep until the switch to 4G completes.
                     DeactivationOutcome::DeferredUntilSwitch

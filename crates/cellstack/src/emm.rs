@@ -379,9 +379,7 @@ impl EmmDevice {
                 self.state = EmmDeviceState::Registered;
                 self.tau_attempts = 0;
             }
-            (EmmDeviceState::Registered, NasMessage::AttachAccept)
-                if self.nas_retransmission =>
-            {
+            (EmmDeviceState::Registered, NasMessage::AttachAccept) if self.nas_retransmission => {
                 // A duplicate Attach Accept means the MME retransmitted it
                 // (T3450 on its side) because our Attach Complete was lost:
                 // resend the complete instead of discarding the accept —
@@ -541,9 +539,7 @@ impl MmeEmm {
                         if self.bearer.take().is_some() {
                             out.push(MmeOutput::BearerDeleted);
                         }
-                        if self.remedy_keep_registration
-                            && self.state == MmeUeState::Registered
-                        {
+                        if self.remedy_keep_registration && self.state == MmeUeState::Registered {
                             // §8: the UE stays registered and may simply
                             // reactivate a bearer.
                         } else {
@@ -699,9 +695,11 @@ mod tests {
         let mut dev = EmmDevice::new();
         let mut mme = MmeEmm::new();
         let out = dev_in(&mut dev, EmmDeviceInput::AttachTrigger);
-        assert!(out.contains(&EmmDeviceOutput::Send(NasMessage::AttachRequest {
-            system: RatSystem::Lte4g
-        })));
+        assert!(
+            out.contains(&EmmDeviceOutput::Send(NasMessage::AttachRequest {
+                system: RatSystem::Lte4g
+            }))
+        );
         mme_in(
             &mut mme,
             MmeInput::Uplink(NasMessage::AttachRequest {
@@ -736,7 +734,11 @@ mod tests {
         dev_in(&mut dev, EmmDeviceInput::Network(NasMessage::AttachAccept));
         // Attach Complete LOST: the MME never sees it.
         assert_eq!(mme.state, MmeUeState::WaitAttachComplete);
-        assert_eq!(dev.state, EmmDeviceState::Registered, "device believes it attached");
+        assert_eq!(
+            dev.state,
+            EmmDeviceState::Registered,
+            "device believes it attached"
+        );
 
         // Device later runs a TAU (Figure 5a steps 4-5).
         dev_in(&mut dev, EmmDeviceInput::TauTrigger);
@@ -806,11 +808,16 @@ mod tests {
     #[test]
     fn s1_quirk_taus_first_then_detaches_on_reject() {
         let (dev, mut mme) = attach_pair();
-        let mut dev = EmmDevice { quirk_tau_before_detach: true, ..dev };
+        let mut dev = EmmDevice {
+            quirk_tau_before_detach: true,
+            ..dev
+        };
         let out = dev_in(&mut dev, EmmDeviceInput::SwitchedIn { pdp: None });
-        assert!(out.contains(&EmmDeviceOutput::Send(NasMessage::UpdateRequest(
-            UpdateKind::TrackingArea
-        ))));
+        assert!(
+            out.contains(&EmmDeviceOutput::Send(NasMessage::UpdateRequest(
+                UpdateKind::TrackingArea
+            )))
+        );
         assert!(!dev.out_of_service(), "quirk defers the detach");
         // The MME lost the context too (switch without PDP).
         mme_in(&mut mme, MmeInput::SwitchedIn { pdp: None });
@@ -837,14 +844,17 @@ mod tests {
     #[test]
     fn s1_remedy_keeps_registration() {
         let (dev, _) = attach_pair();
-        let mut dev = EmmDevice { remedy_reactivate_bearer: true, ..dev };
+        let mut dev = EmmDevice {
+            remedy_reactivate_bearer: true,
+            ..dev
+        };
         let out = dev_in(&mut dev, EmmDeviceInput::SwitchedIn { pdp: None });
         assert!(!dev.out_of_service());
-        assert!(out.contains(&EmmDeviceOutput::Send(
-            NasMessage::SessionActivateRequest {
+        assert!(
+            out.contains(&EmmDeviceOutput::Send(NasMessage::SessionActivateRequest {
                 system: RatSystem::Lte4g
-            }
-        )));
+            }))
+        );
     }
 
     #[test]
@@ -906,7 +916,10 @@ mod tests {
     #[test]
     fn s6_remedy_recovers_inside_core() {
         let (_, mme) = attach_pair();
-        let mut mme = MmeEmm { forward_lu_failure: false, ..mme };
+        let mut mme = MmeEmm {
+            forward_lu_failure: false,
+            ..mme
+        };
         let out = mme_in(
             &mut mme,
             MmeInput::MscLocationUpdateFailure(MmCause::LocationUpdateFailure),
@@ -977,7 +990,10 @@ mod tests {
                     break false;
                 }
             };
-            assert!(fell_back, "{cause:?}: no 3G fallback within max_attach_attempts");
+            assert!(
+                fell_back,
+                "{cause:?}: no 3G fallback within max_attach_attempts"
+            );
         }
     }
 
@@ -1019,9 +1035,11 @@ mod tests {
         assert!(out.contains(&EmmDeviceOutput::ArmTimer(NasTimer::T3410)));
         for _ in 0..4 {
             let out = dev_in(&mut dev, EmmDeviceInput::TimerExpiry(NasTimer::T3410));
-            assert!(out.contains(&EmmDeviceOutput::Send(NasMessage::AttachRequest {
-                system: RatSystem::Lte4g
-            })));
+            assert!(
+                out.contains(&EmmDeviceOutput::Send(NasMessage::AttachRequest {
+                    system: RatSystem::Lte4g
+                }))
+            );
             assert!(out.contains(&EmmDeviceOutput::ArmTimer(NasTimer::T3410)));
         }
         // Fifth expiry: attempts exhausted — long back-off plus fallback.
@@ -1043,9 +1061,11 @@ mod tests {
         assert_eq!(dev.tau_attempts, 1);
         for n in 2..=5 {
             let out = dev_in(&mut dev, EmmDeviceInput::TimerExpiry(NasTimer::T3430));
-            assert!(out.contains(&EmmDeviceOutput::Send(NasMessage::UpdateRequest(
-                UpdateKind::TrackingArea
-            ))));
+            assert!(
+                out.contains(&EmmDeviceOutput::Send(NasMessage::UpdateRequest(
+                    UpdateKind::TrackingArea
+                )))
+            );
             assert_eq!(dev.tau_attempts, n);
         }
         // Bound reached: the TAU is abandoned; local detach + re-attach.

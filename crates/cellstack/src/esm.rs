@@ -304,11 +304,11 @@ mod tests {
         assert!(out.contains(&EsmDeviceOutput::ArmRetryTimer));
         for _ in 0..4 {
             let out = run(&mut m, EsmDeviceInput::RetryTimer);
-            assert!(out.contains(&EsmDeviceOutput::Send(
-                NasMessage::SessionActivateRequest {
+            assert!(
+                out.contains(&EsmDeviceOutput::Send(NasMessage::SessionActivateRequest {
                     system: RatSystem::Lte4g
-                }
-            )));
+                }))
+            );
         }
         let out = run(&mut m, EsmDeviceInput::RetryTimer);
         assert_eq!(out, vec![EsmDeviceOutput::BearerInactive]);

@@ -146,10 +146,9 @@ impl GmmDevice {
             },
             GmmDeviceInput::SmServiceRequest => match self.state {
                 GmmDeviceState::Registered => out.push(GmmDeviceOutput::SmRequestReady),
-                GmmDeviceState::RoutingUpdating
-                    if self.parallel_remedy => {
-                        out.push(GmmDeviceOutput::SmRequestReady);
-                    }
+                GmmDeviceState::RoutingUpdating if self.parallel_remedy => {
+                    out.push(GmmDeviceOutput::SmRequestReady);
+                }
                 _ => {
                     self.queued_sm_request = true;
                     out.push(GmmDeviceOutput::SmRequestQueued);
@@ -174,7 +173,10 @@ impl GmmDevice {
                 self.retx_attempts = 0;
                 out.push(GmmDeviceOutput::Registered(false));
             }
-            (GmmDeviceState::RoutingUpdating, NasMessage::UpdateAccept(UpdateKind::RoutingArea)) => {
+            (
+                GmmDeviceState::RoutingUpdating,
+                NasMessage::UpdateAccept(UpdateKind::RoutingArea),
+            ) => {
                 // No WAIT-FOR-NETWORK-COMMAND here: GMM returns to service
                 // directly (the MM/GMM asymmetry of §6.1.2).
                 self.state = GmmDeviceState::Registered;

@@ -93,4 +93,6 @@ pub use rrc4g::{DrxMode, Rrc4g, Rrc4gState};
 pub use session::SessionTable;
 pub use stack::{DeviceStack, StackEvent};
 pub use timers::{NasTimer, MAX_NAS_RETRIES};
-pub use types::{Dimension, Domain, IssueKind, MsgClass, Protocol, RatSystem, Registration, Sublayer};
+pub use types::{
+    Dimension, Domain, IssueKind, MsgClass, Protocol, RatSystem, Registration, Sublayer,
+};

@@ -340,7 +340,9 @@ impl MscMm {
                 // cut off by the fast switch back to 4G; the incomplete
                 // status propagates to 4G.
                 self.update_in_progress = false;
-                out.push(MscOutput::ReportFailureToMme(MmCause::LocationUpdateFailure));
+                out.push(MscOutput::ReportFailureToMme(
+                    MmCause::LocationUpdateFailure,
+                ));
             }
             MscInput::RelayedUpdateFromMme => {
                 if self.location_known {
@@ -464,9 +466,11 @@ mod tests {
         run(&mut m, MmDeviceInput::LocationUpdateTrigger);
         assert!(m.queued_location_update);
         let out = run(&mut m, MmDeviceInput::ConnectionRelease);
-        assert!(out.contains(&MmDeviceOutput::Send(NasMessage::UpdateRequest(
-            UpdateKind::LocationArea
-        ))));
+        assert!(
+            out.contains(&MmDeviceOutput::Send(NasMessage::UpdateRequest(
+                UpdateKind::LocationArea
+            )))
+        );
     }
 
     #[test]
@@ -500,9 +504,11 @@ mod tests {
         run(&mut m, MmDeviceInput::CmServiceRequest);
         for _ in 0..4 {
             let out = run(&mut m, MmDeviceInput::RetryTimer);
-            assert!(out.contains(&MmDeviceOutput::Send(NasMessage::UpdateRequest(
-                UpdateKind::LocationArea
-            ))));
+            assert!(
+                out.contains(&MmDeviceOutput::Send(NasMessage::UpdateRequest(
+                    UpdateKind::LocationArea
+                )))
+            );
         }
         // Fifth expiry: procedure abandoned, queued call finally served.
         let out = run(&mut m, MmDeviceInput::RetryTimer);
@@ -547,7 +553,9 @@ mod tests {
         let out = msc(&mut m, MscInput::UpdateDisrupted);
         assert_eq!(
             out,
-            vec![MscOutput::ReportFailureToMme(MmCause::LocationUpdateFailure)]
+            vec![MscOutput::ReportFailureToMme(
+                MmCause::LocationUpdateFailure
+            )]
         );
     }
 

@@ -345,7 +345,10 @@ mod tests {
     #[test]
     fn message_classes_partition_the_procedures() {
         assert_eq!(NasMessage::AttachComplete.class(), MsgClass::Attach);
-        assert_eq!(NasMessage::NetworkDetach(EmmCause::ImplicitlyDetached).class(), MsgClass::Attach);
+        assert_eq!(
+            NasMessage::NetworkDetach(EmmCause::ImplicitlyDetached).class(),
+            MsgClass::Attach
+        );
         assert_eq!(
             NasMessage::UpdateRequest(UpdateKind::TrackingArea).class(),
             MsgClass::Mobility

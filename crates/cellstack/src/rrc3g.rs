@@ -403,8 +403,9 @@ mod tests {
     fn state_change_outputs_reported() {
         let mut m = Rrc3g::new();
         let out = run(&mut m, Rrc3gEvent::PsTrafficStart { high_rate: true });
-        assert!(out
-            .iter()
-            .any(|o| matches!(o, Rrc3gOutput::StateChanged(Rrc3gState::Idle, Rrc3gState::CellDch))));
+        assert!(out.iter().any(|o| matches!(
+            o,
+            Rrc3gOutput::StateChanged(Rrc3gState::Idle, Rrc3gState::CellDch)
+        )));
     }
 }

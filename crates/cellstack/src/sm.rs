@@ -182,8 +182,7 @@ impl SgsnSm {
                 if self.reject_activation {
                     out.push(SgsnSmOutput::Send(NasMessage::SessionActivateReject));
                 } else {
-                    let ctx =
-                        PdpContext::active(5, IpAddr(0x0a00_0001), QosProfile::best_effort());
+                    let ctx = PdpContext::active(5, IpAddr(0x0a00_0001), QosProfile::best_effort());
                     self.context = Some(ctx);
                     out.push(SgsnSmOutput::Send(NasMessage::SessionActivateAccept));
                     out.push(SgsnSmOutput::ContextActive(true));
@@ -239,7 +238,10 @@ mod tests {
             out[0],
             SmDeviceOutput::Send(NasMessage::SessionActivateRequest { .. })
         ));
-        let out = run(&mut m, SmDeviceInput::Network(NasMessage::SessionActivateAccept));
+        let out = run(
+            &mut m,
+            SmDeviceInput::Network(NasMessage::SessionActivateAccept),
+        );
         assert!(matches!(out[0], SmDeviceOutput::ContextActivated(_)));
         assert!(m.active_context().is_some());
     }
@@ -248,7 +250,10 @@ mod tests {
     fn activation_reject_stays_inactive() {
         let mut m = SmDevice::new();
         run(&mut m, SmDeviceInput::ActivateRequest);
-        run(&mut m, SmDeviceInput::Network(NasMessage::SessionActivateReject));
+        run(
+            &mut m,
+            SmDeviceInput::Network(NasMessage::SessionActivateReject),
+        );
         assert_eq!(m.state, SmDeviceState::Inactive);
         assert!(m.active_context().is_none());
     }

@@ -198,7 +198,8 @@ impl DeviceStack {
         match self.serving {
             RatSystem::Utran3g => {
                 let mut out = Vec::new();
-                self.gmm.on_input(GmmDeviceInput::SmServiceRequest, &mut out);
+                self.gmm
+                    .on_input(GmmDeviceInput::SmServiceRequest, &mut out);
                 self.route_gmm(out, ev);
             }
             RatSystem::Lte4g => {
@@ -232,7 +233,8 @@ impl DeviceStack {
         match kind {
             UpdateKind::LocationArea => {
                 let mut out = Vec::new();
-                self.mm.on_input(MmDeviceInput::LocationUpdateTrigger, &mut out);
+                self.mm
+                    .on_input(MmDeviceInput::LocationUpdateTrigger, &mut out);
                 self.route_mm(out, ev);
             }
             UpdateKind::RoutingArea => {
@@ -252,7 +254,8 @@ impl DeviceStack {
     /// The MM `WAIT-FOR-NETWORK-COMMAND` hold expired.
     pub fn mm_network_command_done(&mut self, ev: &mut Vec<StackEvent>) {
         let mut out = Vec::new();
-        self.mm.on_input(MmDeviceInput::NetworkCommandDone, &mut out);
+        self.mm
+            .on_input(MmDeviceInput::NetworkCommandDone, &mut out);
         self.route_mm(out, ev);
     }
 
@@ -330,7 +333,8 @@ impl DeviceStack {
         // CS-side update until after the call.
         if !defer_lau {
             let mut out = Vec::new();
-            self.mm.on_input(MmDeviceInput::LocationUpdateTrigger, &mut out);
+            self.mm
+                .on_input(MmDeviceInput::LocationUpdateTrigger, &mut out);
             self.route_mm(out, ev);
         }
         let mut out = Vec::new();
@@ -489,8 +493,7 @@ impl DeviceStack {
                 }
                 MmDeviceOutput::ConnectionEstablished => {
                     let mut out = Vec::new();
-                    self.cc
-                        .on_input(CcInput::MmConnectionEstablished, &mut out);
+                    self.cc.on_input(CcInput::MmConnectionEstablished, &mut out);
                     self.route_cc(out, ev);
                 }
                 MmDeviceOutput::ServiceRejected => {

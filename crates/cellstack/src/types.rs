@@ -264,7 +264,13 @@ mod tests {
 
     #[test]
     fn protocol_systems() {
-        for p in [Protocol::CmCc, Protocol::Sm, Protocol::Mm, Protocol::Gmm, Protocol::Rrc3g] {
+        for p in [
+            Protocol::CmCc,
+            Protocol::Sm,
+            Protocol::Mm,
+            Protocol::Gmm,
+            Protocol::Rrc3g,
+        ] {
             assert_eq!(p.system(), RatSystem::Utran3g);
         }
         for p in [Protocol::Esm, Protocol::Emm, Protocol::Rrc4g] {
@@ -274,10 +280,7 @@ mod tests {
 
     #[test]
     fn sublayers_partition_protocols() {
-        assert_eq!(
-            Protocol::CmCc.sublayer(),
-            Sublayer::ConnectivityManagement
-        );
+        assert_eq!(Protocol::CmCc.sublayer(), Sublayer::ConnectivityManagement);
         assert_eq!(Protocol::Gmm.sublayer(), Sublayer::MobilityManagement);
         assert_eq!(Protocol::Rrc4g.sublayer(), Sublayer::RadioResourceControl);
     }

@@ -162,10 +162,19 @@ fn diagnose(seed: u64, json: bool) {
             "{}: {} (screening prediction: {}, compiled witness: {witness})",
             d.instance,
             d.class,
-            if d.predicted_by_screening { "yes" } else { "no" }
+            if d.predicted_by_screening {
+                "yes"
+            } else {
+                "no"
+            }
         );
         for o in &d.outcomes {
-            println!("  {:>5}: {:<12} {}", o.operator, o.verdict.to_string(), o.evidence);
+            println!(
+                "  {:>5}: {:<12} {}",
+                o.operator,
+                o.verdict.to_string(),
+                o.evidence
+            );
         }
     }
 }
@@ -177,7 +186,11 @@ fn sample(walks: usize, seed: u64) {
         .max_steps(12)
         .run(&UsageModel::paper());
     for prop in props::ALL {
-        println!("  {:<18} violated in {} walks", prop, report.violations_of(prop));
+        println!(
+            "  {:<18} violated in {} walks",
+            prop,
+            report.violations_of(prop)
+        );
     }
     if let Some(witness) = report.witness(props::PACKET_SERVICE_OK) {
         use mck::Model;

@@ -65,9 +65,7 @@ impl Instance {
             Instance::S3 => "User device gets stuck in 3G.",
             Instance::S4 => "Outgoing call/Internet access is delayed.",
             Instance::S5 => "PS rate declines (e.g., 96.1% in OP-II) during ongoing CS service.",
-            Instance::S6 => {
-                "User device is temporarily \"out-of-service\" after 3G->4G switching."
-            }
+            Instance::S6 => "User device is temporarily \"out-of-service\" after 3G->4G switching.",
             Instance::S7 => {
                 "5GS registration is aborted when a T3510 retransmission races \
                  the AMF's identification guard."
@@ -227,7 +225,9 @@ pub enum Category {
 impl std::fmt::Display for Category {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Category::NecessaryButProblematic => write!(f, "Necessary but problematic cooperations"),
+            Category::NecessaryButProblematic => {
+                write!(f, "Necessary but problematic cooperations")
+            }
             Category::IndependentButCoupled => write!(f, "Independent but coupled operations"),
         }
     }

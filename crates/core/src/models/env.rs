@@ -9,11 +9,11 @@
 
 use serde::{Deserialize, Serialize};
 
+use cellstack::cm::MscCc;
 use cellstack::emm::{MmeEmm, MmeInput, MmeOutput};
 use cellstack::esm::MmeEsm;
 use cellstack::gmm::SgsnGmm;
 use cellstack::mm::{MscInput, MscMm, MscOutput};
-use cellstack::cm::MscCc;
 use cellstack::sm::{SgsnSm, SgsnSmOutput};
 use cellstack::{DeviceStack, Domain, NasMessage, RatSystem, Registration, StackEvent};
 
@@ -88,9 +88,7 @@ impl SyncNet {
                         }
                     }
                     StackEvent::RegChanged(Registration::Registered) => obs.registered = true,
-                    StackEvent::RegChanged(Registration::Deregistered) => {
-                        obs.deregistered = true
-                    }
+                    StackEvent::RegChanged(Registration::Deregistered) => obs.deregistered = true,
                     StackEvent::ServiceRequestBlocked => obs.request_blocked = true,
                     StackEvent::CallConnected => obs.call_connected = true,
                     StackEvent::LocationUpdateFailed => obs.lu_failed = true,
@@ -124,7 +122,7 @@ impl SyncNet {
                         MmeOutput::RecoverLocationUpdateWithMsc => {}
                     }
                 }
-            },
+            }
             (RatSystem::Utran3g, Domain::Cs) => match &msg {
                 NasMessage::CallSetup | NasMessage::CallDisconnect => {
                     self.msc_cc.on_uplink(msg, &mut replies);

@@ -159,8 +159,13 @@ mod tests {
 
     #[test]
     fn reachable_space_is_the_full_cross_product() {
-        let model = NUeModel { ues: 3, contexts: 4 };
-        let r = Checker::new(model.clone()).strategy(SearchStrategy::Bfs).run();
+        let model = NUeModel {
+            ues: 3,
+            contexts: 4,
+        };
+        let r = Checker::new(model.clone())
+            .strategy(SearchStrategy::Bfs)
+            .run();
         assert!(r.complete);
         assert_eq!(r.stats.unique_states, model.state_count());
         assert_eq!(r.stats.unique_states, 64);
@@ -171,7 +176,10 @@ mod tests {
     fn state_fingerprints_are_distinct_over_the_population() {
         // 10⁴ states under both eventually-masks: the hash-compact store
         // must key all 20 000 nodes apart.
-        let model = NUeModel { ues: 4, contexts: 10 };
+        let model = NUeModel {
+            ues: 4,
+            contexts: 10,
+        };
         let graph = mck::explore(&model, 20_000);
         assert!(graph.complete);
         assert_eq!(graph.states.len(), 10_000);
@@ -185,7 +193,10 @@ mod tests {
 
     #[test]
     fn collapse_interning_roundtrips_context_blobs() {
-        let model = NUeModel { ues: 4, contexts: 5 };
+        let model = NUeModel {
+            ues: 4,
+            contexts: 5,
+        };
         let state: Box<[u8]> = vec![0, 3, 4, 1].into_boxed_slice();
         let mut comps = Vec::new();
         assert!(model.components(&state, &mut comps));
@@ -207,7 +218,10 @@ mod tests {
     fn collapse_store_sweeps_the_trimmed_arm_cheaply() {
         // A miniature of the 10⁸ protocol: collapse + spill + no path
         // tracking, asserting exact coverage and real compression.
-        let model = NUeModel { ues: 4, contexts: 8 }; // 4096 states
+        let model = NUeModel {
+            ues: 4,
+            contexts: 8,
+        }; // 4096 states
         let exact = Checker::new(model.clone())
             .strategy(SearchStrategy::Bfs)
             .store(StoreMode::Exact)
@@ -264,8 +278,13 @@ mod tests {
 
     #[test]
     fn por_reduces_the_population_and_agrees_on_verdicts() {
-        let model = NUeModel { ues: 4, contexts: 6 }; // 1296 states
-        let full = Checker::new(model.clone()).strategy(SearchStrategy::Bfs).run();
+        let model = NUeModel {
+            ues: 4,
+            contexts: 6,
+        }; // 1296 states
+        let full = Checker::new(model.clone())
+            .strategy(SearchStrategy::Bfs)
+            .run();
         let reduced = Checker::new(model.clone())
             .strategy(SearchStrategy::Bfs)
             .por(true)

@@ -132,7 +132,12 @@ pub fn table4() -> String {
             })
             .collect::<Vec<_>>()
             .join(" and ");
-        s.push_str(&format!("{:<4} {:<28} {}\n", i + 1, trig.description(), cat));
+        s.push_str(&format!(
+            "{:<4} {:<28} {}\n",
+            i + 1,
+            trig.description(),
+            cat
+        ));
     }
     s
 }
@@ -178,8 +183,7 @@ mod tests {
             assert!(dot.contains("->"));
         }
         // The reselection graph has the highlighted stuck states...
-        assert!(figure6_dot(cellstack::SwitchMechanism::CellReselection)
-            .contains("#ffb3b3"));
+        assert!(figure6_dot(cellstack::SwitchMechanism::CellReselection).contains("#ffb3b3"));
     }
 
     #[test]

@@ -258,9 +258,7 @@ impl Model for UsageModel {
                 s.stack.deliver_nas(
                     RatSystem::Lte4g,
                     cellstack::Domain::Ps,
-                    cellstack::NasMessage::NetworkDetach(
-                        cellstack::EmmCause::NetworkFailure,
-                    ),
+                    cellstack::NasMessage::NetworkDetach(cellstack::EmmCause::NetworkFailure),
                     &mut evs,
                 );
                 // The MME side forgets the UE too.
@@ -290,10 +288,9 @@ impl Model for UsageModel {
                 props::PACKET_SERVICE_OK,
                 |_: &UsageModel, s: &UsageState| s.ever_registered && s.oos_observed,
             ),
-            Property::never(
-                props::CALL_SERVICE_OK,
-                |_: &UsageModel, s: &UsageState| s.blocked_observed,
-            ),
+            Property::never(props::CALL_SERVICE_OK, |_: &UsageModel, s: &UsageState| {
+                s.blocked_observed
+            }),
         ]
     }
 
@@ -336,7 +333,10 @@ mod tests {
 
     #[test]
     fn random_sampling_finds_violations_like_the_paper() {
-        let report = RandomWalk::seeded(0xCE11).walks(300).max_steps(12).run(&UsageModel::paper());
+        let report = RandomWalk::seeded(0xCE11)
+            .walks(300)
+            .max_steps(12)
+            .run(&UsageModel::paper());
         assert!(
             report.violations_of(props::PACKET_SERVICE_OK) > 0,
             "sampling must expose PacketService_OK violations"
@@ -345,8 +345,14 @@ mod tests {
 
     #[test]
     fn higher_sampling_rate_finds_no_fewer_defects() {
-        let low = RandomWalk::seeded(1).walks(50).max_steps(12).run(&UsageModel::paper());
-        let high = RandomWalk::seeded(1).walks(1_000).max_steps(12).run(&UsageModel::paper());
+        let low = RandomWalk::seeded(1)
+            .walks(50)
+            .max_steps(12)
+            .run(&UsageModel::paper());
+        let high = RandomWalk::seeded(1)
+            .walks(1_000)
+            .max_steps(12)
+            .run(&UsageModel::paper());
         assert!(
             high.violations_of(props::PACKET_SERVICE_OK)
                 >= low.violations_of(props::PACKET_SERVICE_OK)
@@ -380,7 +386,9 @@ mod tests {
             .into_iter()
             .find(|s| s.stack.serving == RatSystem::Lte4g)
             .unwrap();
-        let s = model.next_state(&init, &UsageAction::NetworkDetach).unwrap();
+        let s = model
+            .next_state(&init, &UsageAction::NetworkDetach)
+            .unwrap();
         assert!(
             !s.oos_observed,
             "the device re-attached within the settle: {:?}",

@@ -19,7 +19,9 @@
 //! and S6 are found during the S3's validation experiments").
 
 use cellstack::{PdpDeactivationCause, RatSystem, UpdateKind};
-use monitor::{compile_witness, hand_signature, run_signature, MatchedEvent, MonitorReport, Verdict};
+use monitor::{
+    compile_witness, hand_signature, run_signature, MatchedEvent, MonitorReport, Verdict,
+};
 use netsim::{op_i, op_ii, Ev, Injection, OperatorProfile, SimTime, World, WorldConfig};
 use serde::{Deserialize, Serialize};
 
@@ -48,7 +50,12 @@ pub struct ValidationOutcome {
 }
 
 impl ValidationOutcome {
-    fn from_report(instance: Instance, operator: &str, report: MonitorReport, evidence: String) -> Self {
+    fn from_report(
+        instance: Instance,
+        operator: &str,
+        report: MonitorReport,
+        evidence: String,
+    ) -> Self {
         ValidationOutcome {
             instance,
             operator: operator.to_string(),
@@ -472,7 +479,13 @@ mod tests {
     fn s1_confirmed_on_both_carriers() {
         for op in [op_i(), op_ii()] {
             let v = validate_s1(op, 99);
-            assert_eq!(v.verdict, Verdict::Confirmed, "{}: {}", v.operator, v.evidence);
+            assert_eq!(
+                v.verdict,
+                Verdict::Confirmed,
+                "{}: {}",
+                v.operator,
+                v.evidence
+            );
             assert_eq!(v.span.len(), 4, "all four S1 steps matched");
             assert!(v.observed);
         }
@@ -490,9 +503,25 @@ mod tests {
     fn s3_confirms_on_both_carriers_with_divergent_stuck_time() {
         let stuck = |op| {
             let v = validate_s3(op, 11);
-            assert_eq!(v.verdict, Verdict::Confirmed, "{}: {}", v.operator, v.evidence);
-            let released = v.span.iter().find(|m| m.step == "call-released").unwrap().ts;
-            let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().ts;
+            assert_eq!(
+                v.verdict,
+                Verdict::Confirmed,
+                "{}: {}",
+                v.operator,
+                v.evidence
+            );
+            let released = v
+                .span
+                .iter()
+                .find(|m| m.step == "call-released")
+                .unwrap()
+                .ts;
+            let returned = v
+                .span
+                .iter()
+                .find(|m| m.step == "returned-to-4g")
+                .unwrap()
+                .ts;
             returned.since(released)
         };
         let op1 = stuck(op_i());
@@ -511,9 +540,19 @@ mod tests {
     #[test]
     fn s5_verdicts_diverge_across_carriers() {
         let v2 = validate_s5(op_ii(), 17);
-        assert_eq!(v2.verdict, Verdict::Confirmed, "OP-II collapses: {}", v2.evidence);
+        assert_eq!(
+            v2.verdict,
+            Verdict::Confirmed,
+            "OP-II collapses: {}",
+            v2.evidence
+        );
         let v1 = validate_s5(op_i(), 17);
-        assert_eq!(v1.verdict, Verdict::Refuted, "OP-I stays healthy: {}", v1.evidence);
+        assert_eq!(
+            v1.verdict,
+            Verdict::Refuted,
+            "OP-I stays healthy: {}",
+            v1.evidence
+        );
         assert!(
             v1.refutation.as_deref().unwrap_or("").contains("healthy"),
             "refutation names the negation arc: {:?}",
@@ -531,7 +570,12 @@ mod tests {
             v1.evidence
         );
         let v2 = validate_s6(op_ii(), 23);
-        assert_eq!(v2.verdict, Verdict::Refuted, "OP-II update completes: {}", v2.evidence);
+        assert_eq!(
+            v2.verdict,
+            Verdict::Refuted,
+            "OP-II update completes: {}",
+            v2.evidence
+        );
     }
 
     #[test]

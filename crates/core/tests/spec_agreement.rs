@@ -118,7 +118,11 @@ fn every_engine_and_store_agrees_on_every_shipped_spec() {
         SearchStrategy::Dfs,
         SearchStrategy::ParallelBfs { workers: 2 },
     ];
-    let stores = [StoreMode::HashCompact, StoreMode::Exact, StoreMode::Collapse];
+    let stores = [
+        StoreMode::HashCompact,
+        StoreMode::Exact,
+        StoreMode::Collapse,
+    ];
     for spec in load_specs(&spec_dir()).unwrap() {
         let mut reference: Option<(Vec<&'static str>, u64)> = None;
         for strategy in strategies {
@@ -128,7 +132,11 @@ fn every_engine_and_store_agrees_on_every_shipped_spec() {
                     .strategy(strategy)
                     .store(store)
                     .run();
-                assert!(r.complete, "{}: {strategy:?} × {store:?} incomplete", spec.file);
+                assert!(
+                    r.complete,
+                    "{}: {strategy:?} × {store:?} incomplete",
+                    spec.file
+                );
                 let mut verdicts: Vec<&'static str> =
                     r.violations.iter().map(|v| v.property).collect();
                 verdicts.sort_unstable();

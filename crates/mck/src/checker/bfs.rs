@@ -98,10 +98,9 @@ pub(crate) fn run<M: Model>(checker: &Checker<M>) -> CheckResult<M> {
             .map(|s| model.components(s, &mut probe))
             .unwrap_or(false);
         match &checker.spill {
-            Some((segment, dir)) if componentized => Frontier::spilling(
-                *segment,
-                dir.clone().unwrap_or_else(std::env::temp_dir),
-            ),
+            Some((segment, dir)) if componentized => {
+                Frontier::spilling(*segment, dir.clone().unwrap_or_else(std::env::temp_dir))
+            }
             _ => Frontier::in_memory(),
         }
     };
@@ -420,7 +419,11 @@ mod tests {
 
     #[test]
     fn collapse_store_matches_hash_compact_exploration() {
-        let grid = || Grid { side: 12, forbid: Some((7, 7)), watch_y: None };
+        let grid = || Grid {
+            side: 12,
+            forbid: Some((7, 7)),
+            watch_y: None,
+        };
         let base = Checker::new(grid()).run();
         let collapsed = Checker::new(grid()).store(StoreMode::Collapse).run();
         assert_eq!(base.stats.unique_states, collapsed.stats.unique_states);
@@ -435,10 +438,19 @@ mod tests {
 
     #[test]
     fn exact_store_matches_hash_compact_exploration() {
-        let base = Checker::new(Grid { side: 9, forbid: None, watch_y: None }).run();
-        let exact = Checker::new(Grid { side: 9, forbid: None, watch_y: None })
-            .store(StoreMode::Exact)
-            .run();
+        let base = Checker::new(Grid {
+            side: 9,
+            forbid: None,
+            watch_y: None,
+        })
+        .run();
+        let exact = Checker::new(Grid {
+            side: 9,
+            forbid: None,
+            watch_y: None,
+        })
+        .store(StoreMode::Exact)
+        .run();
         assert_eq!(base.stats.unique_states, exact.stats.unique_states);
         assert_eq!(exact.stats.store.mode, "exact");
         assert!(exact.stats.store.store_bytes > 0);
@@ -448,9 +460,13 @@ mod tests {
     fn exact_store_downgrades_without_components() {
         // Counter has no component split: an exact request degrades to
         // hash-compact and says so rather than failing or lying.
-        let result = Checker::new(Counter { max: 10, forbid: None, must_reach: None })
-            .store(StoreMode::Exact)
-            .run();
+        let result = Checker::new(Counter {
+            max: 10,
+            forbid: None,
+            must_reach: None,
+        })
+        .store(StoreMode::Exact)
+        .run();
         assert!(result.complete);
         assert!(result.stats.store.mode.contains("hash-compact"));
         assert!(result.stats.store.mode.contains("no component split"));
@@ -458,11 +474,21 @@ mod tests {
 
     #[test]
     fn bitstate_run_is_never_complete() {
-        let result = Checker::new(Grid { side: 6, forbid: None, watch_y: None })
-            .store(StoreMode::Bitstate { log2_bits: 20, hashes: 3 })
-            .run();
+        let result = Checker::new(Grid {
+            side: 6,
+            forbid: None,
+            watch_y: None,
+        })
+        .store(StoreMode::Bitstate {
+            log2_bits: 20,
+            hashes: 3,
+        })
+        .run();
         assert!(!result.complete);
-        assert_eq!(result.stop_reason, Some("bitstate store (possible omissions)"));
+        assert_eq!(
+            result.stop_reason,
+            Some("bitstate store (possible omissions)")
+        );
         // At this tiny fill the sweep should still have seen everything.
         assert_eq!(result.stats.unique_states, 36);
         assert!(result.stats.omission_probability() > 0.0);
@@ -471,9 +497,16 @@ mod tests {
 
     #[test]
     fn bitstate_finds_violations() {
-        let result = Checker::new(Grid { side: 8, forbid: Some((5, 2)), watch_y: None })
-            .store(StoreMode::Bitstate { log2_bits: 20, hashes: 3 })
-            .run();
+        let result = Checker::new(Grid {
+            side: 8,
+            forbid: Some((5, 2)),
+            watch_y: None,
+        })
+        .store(StoreMode::Bitstate {
+            log2_bits: 20,
+            hashes: 3,
+        })
+        .run();
         let v = result.violation("forbidden-cell").expect("must violate");
         assert_eq!(*v.path.last_state(), (5, 2));
         assert_eq!(v.path.len(), 7, "BFS still finds a shortest witness");
@@ -483,9 +516,16 @@ mod tests {
     fn overfilled_bitstate_counts_are_pinned() {
         // 40 000 grid states into 2^16 bits at k = 3: false positives prune
         // much of the grid, so each count depends on where every probe lands.
-        let result = Checker::new(Grid { side: 200, forbid: None, watch_y: None })
-            .store(StoreMode::Bitstate { log2_bits: 16, hashes: 3 })
-            .run();
+        let result = Checker::new(Grid {
+            side: 200,
+            forbid: None,
+            watch_y: None,
+        })
+        .store(StoreMode::Bitstate {
+            log2_bits: 16,
+            hashes: 3,
+        })
+        .run();
         let s = &result.stats;
         assert_eq!(
             (s.unique_states, s.transitions, s.store.bits_set),
@@ -495,38 +535,62 @@ mod tests {
 
     #[test]
     fn spilling_frontier_explores_identically() {
-        let base = Checker::new(Grid { side: 20, forbid: Some((19, 19)), watch_y: None }).run();
-        let spilled = Checker::new(Grid { side: 20, forbid: Some((19, 19)), watch_y: None })
-            .store(StoreMode::Collapse)
-            .spill(16) // absurdly small segments to force many spills
-            .run();
+        let base = Checker::new(Grid {
+            side: 20,
+            forbid: Some((19, 19)),
+            watch_y: None,
+        })
+        .run();
+        let spilled = Checker::new(Grid {
+            side: 20,
+            forbid: Some((19, 19)),
+            watch_y: None,
+        })
+        .store(StoreMode::Collapse)
+        .spill(16) // absurdly small segments to force many spills
+        .run();
         assert_eq!(base.stats.unique_states, spilled.stats.unique_states);
         assert_eq!(base.stats.max_depth, spilled.stats.max_depth);
         assert_eq!(
             base.violation("forbidden-cell").unwrap().path.len(),
             spilled.violation("forbidden-cell").unwrap().path.len()
         );
-        assert!(spilled.stats.store.spill_segments > 0, "segments must hit disk");
+        assert!(
+            spilled.stats.store.spill_segments > 0,
+            "segments must hit disk"
+        );
         assert!(spilled.stats.store.spilled_nodes > 0);
         assert!(spilled.stats.store.spilled_bytes > 0);
     }
 
     #[test]
     fn spill_without_components_is_ignored() {
-        let result = Checker::new(Counter { max: 50, forbid: None, must_reach: None })
-            .spill(4)
-            .run();
+        let result = Checker::new(Counter {
+            max: 50,
+            forbid: None,
+            must_reach: None,
+        })
+        .spill(4)
+        .run();
         assert!(result.complete);
         assert_eq!(result.stats.store.spill_segments, 0);
     }
 
     #[test]
     fn untracked_paths_still_detect_violations() {
-        let result = Checker::new(Grid { side: 10, forbid: Some((3, 4)), watch_y: None })
-            .track_paths(false)
-            .run();
+        let result = Checker::new(Grid {
+            side: 10,
+            forbid: Some((3, 4)),
+            watch_y: None,
+        })
+        .track_paths(false)
+        .run();
         let v = result.violation("forbidden-cell").expect("must violate");
-        assert_eq!(v.path.len(), 0, "no provenance: witness is the state itself");
+        assert_eq!(
+            v.path.len(),
+            0,
+            "no provenance: witness is the state itself"
+        );
         assert_eq!(*v.path.last_state(), (3, 4));
     }
 
@@ -535,10 +599,19 @@ mod tests {
         // A y-only property leaves x-moves invisible: the x process is a
         // sound ample set and the reduced product is a staircase instead of
         // the full grid.
-        let full = Checker::new(Grid { side: 10, forbid: None, watch_y: Some(8) }).run();
-        let reduced = Checker::new(Grid { side: 10, forbid: None, watch_y: Some(8) })
-            .por(true)
-            .run();
+        let full = Checker::new(Grid {
+            side: 10,
+            forbid: None,
+            watch_y: Some(8),
+        })
+        .run();
+        let reduced = Checker::new(Grid {
+            side: 10,
+            forbid: None,
+            watch_y: Some(8),
+        })
+        .por(true)
+        .run();
         assert!(full.violation("y-limit").is_some());
         assert!(reduced.violation("y-limit").is_some());
         assert!(full.complete && reduced.complete);
@@ -553,10 +626,19 @@ mod tests {
 
     #[test]
     fn por_preserves_holding_verdicts_too() {
-        let full = Checker::new(Grid { side: 6, forbid: None, watch_y: Some(10) }).run();
-        let reduced = Checker::new(Grid { side: 6, forbid: None, watch_y: Some(10) })
-            .por(true)
-            .run();
+        let full = Checker::new(Grid {
+            side: 6,
+            forbid: None,
+            watch_y: Some(10),
+        })
+        .run();
+        let reduced = Checker::new(Grid {
+            side: 6,
+            forbid: None,
+            watch_y: Some(10),
+        })
+        .por(true)
+        .run();
         assert!(full.holds());
         assert!(reduced.holds(), "y=10 is unreachable in both systems");
     }
@@ -566,10 +648,19 @@ mod tests {
         // A full-cell property watches both axes, so the model refuses to
         // reduce and POR-on must explore exactly the POR-off space.
         for forbid in [(0, 5), (5, 0), (2, 9)] {
-            let full = Checker::new(Grid { side: 10, forbid: Some(forbid), watch_y: None }).run();
-            let reduced = Checker::new(Grid { side: 10, forbid: Some(forbid), watch_y: None })
-                .por(true)
-                .run();
+            let full = Checker::new(Grid {
+                side: 10,
+                forbid: Some(forbid),
+                watch_y: None,
+            })
+            .run();
+            let reduced = Checker::new(Grid {
+                side: 10,
+                forbid: Some(forbid),
+                watch_y: None,
+            })
+            .por(true)
+            .run();
             assert_eq!(full.stats.unique_states, reduced.stats.unique_states);
             assert_eq!(
                 full.violation("forbidden-cell").is_some(),

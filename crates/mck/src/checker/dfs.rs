@@ -372,10 +372,19 @@ mod tests {
     fn collapse_store_matches_hash_compact_in_dfs() {
         use crate::checker::testmodels::Grid;
         use crate::store::StoreMode;
-        let base = dfs(Grid { side: 10, forbid: Some((7, 3)), watch_y: None }).run();
-        let collapsed = dfs(Grid { side: 10, forbid: Some((7, 3)), watch_y: None })
-            .store(StoreMode::Collapse)
-            .run();
+        let base = dfs(Grid {
+            side: 10,
+            forbid: Some((7, 3)),
+            watch_y: None,
+        })
+        .run();
+        let collapsed = dfs(Grid {
+            side: 10,
+            forbid: Some((7, 3)),
+            watch_y: None,
+        })
+        .store(StoreMode::Collapse)
+        .run();
         assert_eq!(base.stats.unique_states, collapsed.stats.unique_states);
         assert_eq!(
             base.violation("forbidden-cell").unwrap().path.len(),
@@ -388,10 +397,16 @@ mod tests {
     fn bitstate_dfs_never_complete_but_still_detects_lassos() {
         use crate::store::StoreMode;
         let result = dfs(CycleEscape)
-            .store(StoreMode::Bitstate { log2_bits: 16, hashes: 2 })
+            .store(StoreMode::Bitstate {
+                log2_bits: 16,
+                hashes: 2,
+            })
             .run();
         assert!(!result.complete);
-        assert_eq!(result.stop_reason, Some("bitstate store (possible omissions)"));
+        assert_eq!(
+            result.stop_reason,
+            Some("bitstate store (possible omissions)")
+        );
         let v = result.violation("escapes").expect("cycle must violate");
         assert!(v.lasso);
     }

@@ -174,7 +174,11 @@ impl ParVisited {
                 }
             }
             ParVisited::Locked(inner) => {
-                if inner.lock().expect("store mutex poisoned").insert(model, state, ebits) {
+                if inner
+                    .lock()
+                    .expect("store mutex poisoned")
+                    .insert(model, state, ebits)
+                {
                     Insert::New
                 } else {
                     Insert::Known
@@ -186,9 +190,7 @@ impl ParVisited {
     fn is_bitstate(&self) -> bool {
         match self {
             ParVisited::Bits(_) => true,
-            ParVisited::Locked(inner) => {
-                inner.lock().expect("store mutex poisoned").is_bitstate()
-            }
+            ParVisited::Locked(inner) => inner.lock().expect("store mutex poisoned").is_bitstate(),
             ParVisited::Fp(_) => false,
         }
     }
@@ -341,8 +343,7 @@ fn worker_loop<M: Model + Sync>(
                 }
             }
 
-            let within =
-                model.within_boundary(&item.state) && depth < shared.checker.max_depth;
+            let within = model.within_boundary(&item.state) && depth < shared.checker.max_depth;
             if !within {
                 out.boundary += 1;
             }
@@ -486,7 +487,11 @@ where
         }
         StoreMode::Exact | StoreMode::Collapse => {
             let probe = model.init_states().into_iter().next();
-            ParVisited::Locked(Mutex::new(SeqStore::new(checker.store, model, probe.as_ref())))
+            ParVisited::Locked(Mutex::new(SeqStore::new(
+                checker.store,
+                model,
+                probe.as_ref(),
+            )))
         }
     };
 
@@ -551,9 +556,7 @@ where
         if let ParVisited::Fp(table) = &mut visited {
             let upcoming = (frontier.len() as u64).saturating_mul(max_fanout);
             let needed = discovered.saturating_add(upcoming);
-            while needed.saturating_mul(2) >= table.slot_count()
-                && table.slot_count() < cap_slots
-            {
+            while needed.saturating_mul(2) >= table.slot_count() && table.slot_count() < cap_slots {
                 table.grow();
             }
         }
@@ -581,7 +584,8 @@ where
                     let shared = &shared;
                     let layer = &layer;
                     let cursor = &cursor;
-                    scope.spawn(move || worker_loop(shared, wid, arena, layer, cursor, grain, depth))
+                    scope
+                        .spawn(move || worker_loop(shared, wid, arena, layer, cursor, grain, depth))
                 })
                 .collect();
             handles

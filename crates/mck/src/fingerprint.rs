@@ -176,10 +176,7 @@ mod tests {
         // fingerprint() and fingerprint_with_ebits(.., 0) hash different
         // byte streams; both are fine as long as each is used consistently.
         let s = 7u64;
-        assert_eq!(
-            fingerprint_with_ebits(&s, 0),
-            fingerprint_with_ebits(&s, 0)
-        );
+        assert_eq!(fingerprint_with_ebits(&s, 0), fingerprint_with_ebits(&s, 0));
     }
 
     #[test]

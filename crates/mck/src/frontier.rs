@@ -171,9 +171,12 @@ impl<M: Model> SpillFrontier<M> {
                 "spilling frontier requires a componentized model"
             );
             pack_components(&self.comps, &mut self.buf);
-            w.write_all(&item.depth.to_le_bytes()).expect("frontier spill: write");
-            w.write_all(&item.ebits.to_le_bytes()).expect("frontier spill: write");
-            w.write_all(&item.node.to_le_bytes()).expect("frontier spill: write");
+            w.write_all(&item.depth.to_le_bytes())
+                .expect("frontier spill: write");
+            w.write_all(&item.ebits.to_le_bytes())
+                .expect("frontier spill: write");
+            w.write_all(&item.node.to_le_bytes())
+                .expect("frontier spill: write");
             w.write_all(&(self.comps.len() as u16).to_le_bytes())
                 .expect("frontier spill: write");
             w.write_all(&self.buf).expect("frontier spill: write");
@@ -207,14 +210,20 @@ impl<M: Model> SpillFrontier<M> {
             self.comps.resize_with(ncomps, Vec::new);
             for comp in &mut self.comps {
                 let mut lenb = [0u8; 4];
-                r.read_exact(&mut lenb).expect("frontier spill: read component length");
+                r.read_exact(&mut lenb)
+                    .expect("frontier spill: read component length");
                 comp.resize(u32::from_le_bytes(lenb) as usize, 0);
                 r.read_exact(comp).expect("frontier spill: read component");
             }
             let state = model
                 .reassemble(&self.comps)
                 .expect("frontier spill: reassemble state from its own components");
-            out.push_back(QItem { state, ebits, node, depth });
+            out.push_back(QItem {
+                state,
+                ebits,
+                node,
+                depth,
+            });
         }
         let _ = std::fs::remove_file(path);
         out

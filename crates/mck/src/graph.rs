@@ -52,7 +52,8 @@ impl<M: Model> StateGraph<M> {
     /// states matching `highlight` are drawn filled red (use it for error
     /// states).
     pub fn to_dot(&self, model: &M, highlight: impl Fn(&M::State) -> bool) -> String {
-        let mut s = String::from("digraph model {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
+        let mut s =
+            String::from("digraph model {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
         for (i, state) in self.states.iter().enumerate() {
             let label = escape(&model.format_state(state));
             let attrs = if highlight(state) {
@@ -66,7 +67,9 @@ impl<M: Model> StateGraph<M> {
         }
         for (from, action, to) in &self.edges {
             let label = escape(&model.format_action(action));
-            s.push_str(&format!("  n{from} -> n{to} [label=\"{label}\", fontsize=9];\n"));
+            s.push_str(&format!(
+                "  n{from} -> n{to} [label=\"{label}\", fontsize=9];\n"
+            ));
         }
         s.push_str("}\n");
         s
@@ -74,7 +77,9 @@ impl<M: Model> StateGraph<M> {
 }
 
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Explore the reachable graph breadth-first, up to `max_states` nodes.
@@ -91,9 +96,9 @@ pub fn explore<M: Model>(model: &M, max_states: usize) -> StateGraph<M> {
     let mut complete = true;
 
     let intern = |state: M::State,
-                      states: &mut Vec<M::State>,
-                      ids: &mut HashMap<M::State, usize>,
-                      queue: &mut Vec<usize>|
+                  states: &mut Vec<M::State>,
+                  ids: &mut HashMap<M::State, usize>,
+                  queue: &mut Vec<usize>|
      -> usize {
         *ids.entry(state.clone()).or_insert_with(|| {
             states.push(state);
@@ -199,8 +204,14 @@ mod tests {
         let dot = g.to_dot(&model, |s| *s == 3);
         assert!(dot.starts_with("digraph model {"));
         assert!(dot.ends_with("}\n"));
-        assert!(dot.contains("fillcolor=\"#ffb3b3\""), "error state highlighted");
-        assert!(dot.contains("fillcolor=\"#b3d9ff\""), "init state highlighted");
+        assert!(
+            dot.contains("fillcolor=\"#ffb3b3\""),
+            "error state highlighted"
+        );
+        assert!(
+            dot.contains("fillcolor=\"#b3d9ff\""),
+            "init state highlighted"
+        );
         assert_eq!(dot.matches(" -> ").count(), g.edge_count());
     }
 

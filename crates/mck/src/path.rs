@@ -188,7 +188,11 @@ mod tests {
     #[test]
     fn replay_reconstructs_exact_path() {
         use crate::checker::testmodels::Counter;
-        let model = Counter { max: 10, forbid: None, must_reach: None };
+        let model = Counter {
+            max: 10,
+            forbid: None,
+            must_reach: None,
+        };
         let p = Path::replay(&model, 0u8, &[2u8, 2, 1]).expect("legal actions");
         let states: Vec<u8> = p.states().copied().collect();
         assert_eq!(states, vec![0, 2, 4, 5]);
@@ -198,7 +202,11 @@ mod tests {
     #[test]
     fn replay_propagates_vetoed_transitions() {
         use crate::checker::testmodels::Counter;
-        let model = Counter { max: 3, forbid: None, must_reach: None };
+        let model = Counter {
+            max: 3,
+            forbid: None,
+            must_reach: None,
+        };
         // Counter's next_state never vetoes, so replay always succeeds; an
         // empty action list is the degenerate exact witness.
         let p = Path::replay(&model, 1u8, &[]).unwrap();

@@ -197,7 +197,10 @@ mod tests {
         for kind in [StoreKind::Exact, StoreKind::Collapse] {
             let s = CheckStats {
                 unique_states: u64::MAX / 2,
-                store: StoreStats { kind, ..Default::default() },
+                store: StoreStats {
+                    kind,
+                    ..Default::default()
+                },
                 ..Default::default()
             };
             assert_eq!(s.expected_omissions(), 0.0);
@@ -226,7 +229,10 @@ mod tests {
     fn bytes_per_state_divides_store_bytes() {
         let s = CheckStats {
             unique_states: 10,
-            store: StoreStats { store_bytes: 250, ..Default::default() },
+            store: StoreStats {
+                store_bytes: 250,
+                ..Default::default()
+            },
             ..Default::default()
         };
         assert!((s.bytes_per_state() - 25.0).abs() < 1e-9);

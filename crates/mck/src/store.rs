@@ -500,13 +500,15 @@ impl SeqStore {
     /// Build the store for `model`, probing one state for component support.
     pub(crate) fn new<M: Model>(mode: StoreMode, model: &M, probe: Option<&M::State>) -> Self {
         let mut comps = Vec::new();
-        let componentized =
-            probe.map(|s| model.components(s, &mut comps)).unwrap_or(false);
+        let componentized = probe
+            .map(|s| model.components(s, &mut comps))
+            .unwrap_or(false);
         let arity = comps.len();
         let (inner, mode_label) = match mode {
-            StoreMode::HashCompact => {
-                (SeqStoreInner::HashCompact(HashSet::default()), "hash-compact")
-            }
+            StoreMode::HashCompact => (
+                SeqStoreInner::HashCompact(HashSet::default()),
+                "hash-compact",
+            ),
             StoreMode::Exact if componentized => (
                 SeqStoreInner::Exact {
                     set: HashSet::new(),
@@ -521,9 +523,10 @@ impl SeqStore {
                 SeqStoreInner::HashCompact(HashSet::default()),
                 "hash-compact (model has no component split; exact/collapse unavailable)",
             ),
-            StoreMode::Bitstate { log2_bits, hashes } => {
-                (SeqStoreInner::Bitstate(BitSet::new(log2_bits, hashes)), "bitstate")
-            }
+            StoreMode::Bitstate { log2_bits, hashes } => (
+                SeqStoreInner::Bitstate(BitSet::new(log2_bits, hashes)),
+                "bitstate",
+            ),
         };
         SeqStore {
             inner,
@@ -544,7 +547,10 @@ impl SeqStore {
             SeqStoreInner::HashCompact(set) => set.insert(fingerprint_with_ebits(state, ebits)),
             SeqStoreInner::Bitstate(bits) => bits.insert(bloom_fingerprint(state, ebits)),
             SeqStoreInner::Exact { set, payload_bytes } => {
-                assert!(model.components(state, &mut self.comps), "probed componentized");
+                assert!(
+                    model.components(state, &mut self.comps),
+                    "probed componentized"
+                );
                 pack_components(&self.comps, &mut self.packed);
                 let key: Box<[u8]> = self.packed.as_slice().into();
                 let bytes = key.len() as u64;
@@ -556,7 +562,10 @@ impl SeqStore {
                 }
             }
             SeqStoreInner::Collapse(collapse) => {
-                assert!(model.components(state, &mut self.comps), "probed componentized");
+                assert!(
+                    model.components(state, &mut self.comps),
+                    "probed componentized"
+                );
                 collapse.insert(&self.comps, ebits)
             }
         }
@@ -570,14 +579,20 @@ impl SeqStore {
             SeqStoreInner::HashCompact(set) => set.contains(&fingerprint_with_ebits(state, ebits)),
             SeqStoreInner::Bitstate(bits) => bits.contains(bloom_fingerprint(state, ebits)),
             SeqStoreInner::Exact { set, .. } => {
-                assert!(model.components(state, &mut self.comps), "probed componentized");
+                assert!(
+                    model.components(state, &mut self.comps),
+                    "probed componentized"
+                );
                 pack_components(&self.comps, &mut self.packed);
                 // Boxing just for the probe is fine: the proviso path is rare.
                 let key: Box<[u8]> = self.packed.as_slice().into();
                 set.contains(&(key, ebits))
             }
             SeqStoreInner::Collapse(collapse) => {
-                assert!(model.components(state, &mut self.comps), "probed componentized");
+                assert!(
+                    model.components(state, &mut self.comps),
+                    "probed componentized"
+                );
                 collapse.contains(&self.comps, ebits)
             }
         }
@@ -666,7 +681,10 @@ mod tests {
         }
         assert_eq!(set.len(), 600);
         for i in 0..600u32 {
-            assert!(!set.insert(&[i.to_le_bytes().to_vec()], 0), "still present after widening");
+            assert!(
+                !set.insert(&[i.to_le_bytes().to_vec()], 0),
+                "still present after widening"
+            );
             assert!(set.contains(&[i.to_le_bytes().to_vec()], 0));
         }
         let (comps, _) = set.reconstruct(42).unwrap();
@@ -699,14 +717,21 @@ mod tests {
             bits.insert(splitmix64(i));
         }
         assert!(bits.bits_set() <= 2000);
-        assert!(bits.bits_set() > 1900, "collisions should be rare at this fill");
+        assert!(
+            bits.bits_set() > 1900,
+            "collisions should be rare at this fill"
+        );
     }
 
     #[test]
     fn mode_labels_self_describe() {
         assert_eq!(StoreMode::Collapse.label(), "collapse");
         assert_eq!(
-            StoreMode::Bitstate { log2_bits: 30, hashes: 3 }.label(),
+            StoreMode::Bitstate {
+                log2_bits: 30,
+                hashes: 3
+            }
+            .label(),
             "bitstate(m=2^30, k=3)"
         );
     }

@@ -47,12 +47,8 @@ impl RandomDag {
     }
 
     fn branch(&self, level: u8, id: u8, action: u8) -> u8 {
-        let h = mix(
-            self.seed
-                ^ (u64::from(level) << 32)
-                ^ (u64::from(id) << 16)
-                ^ u64::from(action),
-        );
+        let h =
+            mix(self.seed ^ (u64::from(level) << 32) ^ (u64::from(id) << 16) ^ u64::from(action));
         (h % u64::from(self.width)) as u8
     }
 }
@@ -126,8 +122,7 @@ fn outcome(model: RandomDag, strategy: SearchStrategy) -> Outcome {
                 .expect("witness action must apply");
         }
     }
-    let mut violated: Vec<&'static str> =
-        result.violations.iter().map(|v| v.property).collect();
+    let mut violated: Vec<&'static str> = result.violations.iter().map(|v| v.property).collect();
     violated.sort_unstable();
     Outcome {
         unique_states: result.stats.unique_states,
@@ -172,8 +167,7 @@ fn outcome_with_store(
         .map(|v| (v.property, v.path.len()))
         .collect();
     lens.sort_unstable();
-    let mut violated: Vec<&'static str> =
-        result.violations.iter().map(|v| v.property).collect();
+    let mut violated: Vec<&'static str> = result.violations.iter().map(|v| v.property).collect();
     violated.sort_unstable();
     (
         Outcome {
@@ -203,8 +197,7 @@ fn stores_agree_with_hash_compact_across_engines() {
                 mck::StoreMode::HashCompact,
             );
             for store in [mck::StoreMode::Exact, mck::StoreMode::Collapse] {
-                let (got, lens) =
-                    outcome_with_store(RandomDag::from_seed(seed), strategy, store);
+                let (got, lens) = outcome_with_store(RandomDag::from_seed(seed), strategy, store);
                 assert_eq!(
                     got, reference,
                     "seed {seed}: {strategy:?} × {store:?} disagrees with hash-compact"

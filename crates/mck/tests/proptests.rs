@@ -198,11 +198,7 @@ impl Model for RandCounter {
 }
 
 fn rand_counter() -> impl Strategy<Value = RandCounter> {
-    (
-        proptest::collection::vec(1u8..6, 1..4),
-        20u16..60,
-        0u16..60,
-    )
+    (proptest::collection::vec(1u8..6, 1..4), 20u16..60, 0u16..60)
         .prop_map(|(steps, max, forbid)| RandCounter { steps, max, forbid })
 }
 

@@ -41,8 +41,15 @@ pub fn s1() -> Signature {
             Pattern::nas_down("Deactivate Context Request").on(RatSystem::Utran3g),
         )
         .step("returned-to-4g", Pattern::camped_on(RatSystem::Lte4g))
-        .step("s1-context-loss", Pattern::hazard(HazardKind::S1ContextLoss))
-        .timed_step("recovered", Pattern::registration(true), LAU_CHAIN_DEADLINE_MS)
+        .step(
+            "s1-context-loss",
+            Pattern::hazard(HazardKind::S1ContextLoss),
+        )
+        .timed_step(
+            "recovered",
+            Pattern::registration(true),
+            LAU_CHAIN_DEADLINE_MS,
+        )
 }
 
 /// S2 — "out-of-sequence signaling": a lossy uplink drops attach-family
@@ -50,10 +57,7 @@ pub fn s1() -> Signature {
 /// and an in-service device receives an implicit detach.
 pub fn s2() -> Signature {
     Signature::new("S2-hand")
-        .step(
-            "uplink-loss",
-            Pattern::fault(FaultClass::Drop, Some(true)),
-        )
+        .step("uplink-loss", Pattern::fault(FaultClass::Drop, Some(true)))
         .step(
             "tau-attempt",
             Pattern::nas_up("Tracking Area Update Request"),
@@ -63,7 +67,11 @@ pub fn s2() -> Signature {
             Pattern::hazard(HazardKind::ImplicitDetach),
         )
         .step("deregistered", Pattern::registration(false))
-        .timed_step("re-registered", Pattern::registration(true), LAU_CHAIN_DEADLINE_MS)
+        .timed_step(
+            "re-registered",
+            Pattern::registration(true),
+            LAU_CHAIN_DEADLINE_MS,
+        )
 }
 
 /// S3 — "stuck in 3G": the CSFB call ends but the device keeps camping on
@@ -90,7 +98,11 @@ pub fn s4() -> Signature {
             "lau-completes",
             Pattern::nas_down("Location Updating Accept"),
         )
-        .timed_step("call-connected", Pattern::call(CallPhase::Connected), 60_000)
+        .timed_step(
+            "call-connected",
+            Pattern::call(CallPhase::Connected),
+            60_000,
+        )
 }
 
 /// S5 — "fate-sharing modulation": once the CS call reconfigures the
@@ -120,10 +132,7 @@ pub fn s5() -> Signature {
 pub fn s6() -> Signature {
     Signature::new("S6-hand")
         .step("call-released", Pattern::call(CallPhase::Released))
-        .step(
-            "deferred-lau",
-            Pattern::nas_up("Location Updating Request"),
-        )
+        .step("deferred-lau", Pattern::nas_up("Location Updating Request"))
         .step(
             "failure-propagated",
             Pattern::hazard(HazardKind::S6FailurePropagated),
@@ -243,10 +252,7 @@ pub fn observable_for(property: &str) -> Option<Step> {
         // MM_OK violations are lassos ("never returns"); on a finite trace
         // the observable is the eventual return that closes the stuck
         // window — the span length carries the severity.
-        "MM_OK" => step(
-            "stuck window closes",
-            Pattern::camped_on(RatSystem::Lte4g),
-        ),
+        "MM_OK" => step("stuck window closes", Pattern::camped_on(RatSystem::Lte4g)),
         _ => None,
     }
 }

@@ -66,7 +66,11 @@ fn overlapping_matches_advance_greedily_on_the_first_candidate() {
     feed_at(&mut t, 3_000, TraceEvent::Call(CallPhase::Released));
     let report = run_signature(two_step(), t.entries(), SimTime::from_secs(10));
     assert_eq!(report.verdict, Verdict::Confirmed);
-    assert_eq!(report.span[0].ts, SimTime::from_secs(1), "greedy first match");
+    assert_eq!(
+        report.span[0].ts,
+        SimTime::from_secs(1),
+        "greedy first match"
+    );
 }
 
 #[test]

@@ -68,11 +68,7 @@ impl MetricsRegistry {
             name,
             labels: normalize(labels),
         };
-        match self
-            .metrics
-            .entry(key)
-            .or_insert(MetricValue::Counter(0))
-        {
+        match self.metrics.entry(key).or_insert(MetricValue::Counter(0)) {
             MetricValue::Counter(c) => *c += v,
             other => panic!("metric {name} is not a counter: {other:?}"),
         }
@@ -274,16 +270,8 @@ mod tests {
     #[test]
     fn label_order_does_not_split_series() {
         let mut r = MetricsRegistry::new();
-        r.count(
-            "x",
-            vec![("a", "1".into()), ("b", "2".into())],
-            1,
-        );
-        r.count(
-            "x",
-            vec![("b", "2".into()), ("a", "1".into())],
-            1,
-        );
+        r.count("x", vec![("a", "1".into()), ("b", "2".into())], 1);
+        r.count("x", vec![("b", "2".into()), ("a", "1".into())], 1);
         assert_eq!(r.len(), 1);
         assert_eq!(
             r.counter("x", vec![("a", "1".into()), ("b", "2".into())]),

@@ -123,7 +123,9 @@ mod tests {
 
     #[test]
     fn barred_subscriber_rejected_permanently() {
-        let cause = hss_with(Subscription::Barred, true).admit_4g(1).unwrap_err();
+        let cause = hss_with(Subscription::Barred, true)
+            .admit_4g(1)
+            .unwrap_err();
         assert_eq!(cause, AttachRejectCause::EpsServicesNotAllowed);
         assert!(!cause.retry_allowed(), "barring is a permanent cause");
     }

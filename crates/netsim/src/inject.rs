@@ -368,7 +368,12 @@ pub struct FaultPhase {
 
 impl FaultPhase {
     /// A phase with the given rules and no outages.
-    pub fn new(name: impl Into<String>, start_ms: u64, end_ms: u64, rules: Vec<PolicyRule>) -> Self {
+    pub fn new(
+        name: impl Into<String>,
+        start_ms: u64,
+        end_ms: u64,
+        rules: Vec<PolicyRule>,
+    ) -> Self {
         Self {
             name: name.into(),
             start_ms,
@@ -649,9 +654,7 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let inj = Injection::dropping(0.10);
         let n = 50_000;
-        let drops = (0..n)
-            .filter(|_| inj.fate(&mut rng) == Fate::Drop)
-            .count();
+        let drops = (0..n).filter(|_| inj.fate(&mut rng) == Fate::Drop).count();
         let rate = drops as f64 / n as f64;
         assert!((rate - 0.10).abs() < 0.01, "observed {rate}");
     }
@@ -708,8 +711,14 @@ mod adversary_tests {
     #[test]
     fn outside_every_phase_delivers_untallied() {
         let mut a = Adversary::new(lossy_campaign(1));
-        assert_eq!(a.decide(60_000, Leg::Ul4g, MsgClass::Attach), AdvFate::Deliver);
-        assert_eq!(a.decide(999_999, Leg::Ul4g, MsgClass::Attach), AdvFate::Deliver);
+        assert_eq!(
+            a.decide(60_000, Leg::Ul4g, MsgClass::Attach),
+            AdvFate::Deliver
+        );
+        assert_eq!(
+            a.decide(999_999, Leg::Ul4g, MsgClass::Attach),
+            AdvFate::Deliver
+        );
         assert_eq!(a.report().phases[0].stats.total(), 0);
     }
 
@@ -753,8 +762,12 @@ mod adversary_tests {
 
     #[test]
     fn node_outage_loses_traversing_messages_only() {
-        let c = Campaign::new("outage", 5)
-            .with_phase(FaultPhase::outage("mme-down", 0, 100, vec![NodeId::Mme]));
+        let c = Campaign::new("outage", 5).with_phase(FaultPhase::outage(
+            "mme-down",
+            0,
+            100,
+            vec![NodeId::Mme],
+        ));
         let mut a = Adversary::new(c);
         assert_eq!(a.decide(10, Leg::Ul4g, MsgClass::Attach), AdvFate::Drop);
         assert_eq!(a.decide(10, Leg::Dl4g, MsgClass::Attach), AdvFate::Drop);

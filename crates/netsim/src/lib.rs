@@ -83,8 +83,7 @@ pub use sim::{
 };
 pub use time::SimTime;
 pub use trace::{
-    CallPhase, FaultEvent, FaultKind, HazardKind, TraceCollector, TraceEntry, TraceEvent,
-    TraceType,
+    CallPhase, FaultEvent, FaultKind, HazardKind, TraceCollector, TraceEntry, TraceEvent, TraceType,
 };
 pub use verify::{
     collect_spans, count_signature, run_signature, Bank, FaultClass, LaneBank, LiveConfig,

@@ -152,7 +152,11 @@ mod tests {
     #[test]
     fn throughput_filtering() {
         let mut m = Metrics::default();
-        for (ul, call, kbps) in [(false, false, 10_000.0), (false, true, 3_000.0), (true, false, 2_000.0)] {
+        for (ul, call, kbps) in [
+            (false, false, 10_000.0),
+            (false, true, 3_000.0),
+            (true, false, 2_000.0),
+        ] {
             m.throughput.push(ThroughputSample {
                 ts: SimTime::ZERO,
                 hour: 12,

@@ -274,7 +274,10 @@ mod tests {
 
     #[test]
     fn mechanisms_split_as_paper_reports() {
-        assert_eq!(op_i().switch_mechanism, SwitchMechanism::ReleaseWithRedirect);
+        assert_eq!(
+            op_i().switch_mechanism,
+            SwitchMechanism::ReleaseWithRedirect
+        );
         assert_eq!(op_ii().switch_mechanism, SwitchMechanism::CellReselection);
     }
 

@@ -2,9 +2,9 @@
 //! single-UE facade and the fleet ([`exec`]), and the multi-UE carrier
 //! simulation itself ([`fleet`]).
 
-pub(crate) mod exec;
 pub mod agg;
 pub mod arena;
+pub(crate) mod exec;
 pub mod fleet;
 pub mod wheel;
 

@@ -82,10 +82,7 @@ mod tests {
     fn formatting_matches_trace_style() {
         assert_eq!(SimTime::ZERO.hhmmss(), "00:00:00.000");
         assert_eq!(SimTime::from_millis(61_205).hhmmss(), "00:01:01.205");
-        assert_eq!(
-            SimTime::from_secs(3_600 * 2 + 61).hhmmss(),
-            "02:01:01.000"
-        );
+        assert_eq!(SimTime::from_secs(3_600 * 2 + 61).hhmmss(), "02:01:01.000");
     }
 
     #[test]

@@ -778,7 +778,11 @@ mod tests {
         assert_eq!(t.entries()[0].desc, "entry 900");
         assert_eq!(t.entries()[99].desc, "entry 999");
         assert!(t.first("entry 899").is_none(), "evicted entries are gone");
-        assert_eq!(t.between(SimTime::from_millis(0), SimTime::from_secs(60)).count(), 100);
+        assert_eq!(
+            t.between(SimTime::from_millis(0), SimTime::from_secs(60))
+                .count(),
+            100
+        );
     }
 
     #[test]

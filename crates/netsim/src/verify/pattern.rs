@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use cellstack::{MsgClass, RatSystem};
 use crate::trace::{CallPhase, FaultKind, HazardKind, TraceEntry, TraceEvent};
+use cellstack::{MsgClass, RatSystem};
 
 /// Coarse fault category, used to match [`FaultKind`] regardless of
 /// payload details like reorder hold times.
@@ -271,9 +271,9 @@ impl Pattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cellstack::{NasMessage, Protocol, UpdateKind};
     use crate::trace::{TraceCollector, TraceType};
     use crate::SimTime;
+    use cellstack::{NasMessage, Protocol, UpdateKind};
 
     fn entry(event: TraceEvent) -> TraceEntry {
         let mut t = TraceCollector::new();

@@ -124,9 +124,9 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
     use crate::verify::pattern::Pattern;
     use cellstack::{Protocol, RatSystem};
-    use crate::trace::{CallPhase, TraceCollector, TraceEvent, TraceType};
 
     fn record(t: &mut TraceCollector, at_ms: u64, event: TraceEvent) {
         t.record_event(
@@ -190,7 +190,11 @@ mod tests {
     fn stepless_signature_counts_nothing() {
         let mut t = TraceCollector::new();
         record(&mut t, 10_000, TraceEvent::Call(CallPhase::Connected));
-        let n = count_signature(&Signature::new("empty"), t.entries(), SimTime::from_secs(60));
+        let n = count_signature(
+            &Signature::new("empty"),
+            t.entries(),
+            SimTime::from_secs(60),
+        );
         assert_eq!(n, 0);
     }
 }

@@ -2,9 +2,7 @@
 //! function of (seed, specs) — the UE-shard thread count is an
 //! implementation detail that may never leak into the report.
 
-use netsim::{
-    op_i, op_ii, BehaviorProfile, FleetConfig, FleetReport, FleetSim, UeOutcome, UeSpec,
-};
+use netsim::{op_i, op_ii, BehaviorProfile, FleetConfig, FleetReport, FleetSim, UeOutcome, UeSpec};
 
 /// A carrier-mixed 20-UE fleet shaped like the §7 study population.
 fn study_shaped_specs() -> Vec<UeSpec> {

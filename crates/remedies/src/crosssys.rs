@@ -67,7 +67,9 @@ pub fn switch_latency_ms(remedied: bool, rng: &mut StdRng, lat: PrototypeLatency
 pub fn section93_switch_experiment(n: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
     let lat = PrototypeLatency::default();
     let mut rng = rng_from_seed(seed);
-    let with: Vec<u64> = (0..n).map(|_| switch_latency_ms(true, &mut rng, lat)).collect();
+    let with: Vec<u64> = (0..n)
+        .map(|_| switch_latency_ms(true, &mut rng, lat))
+        .collect();
     let without: Vec<u64> = (0..n)
         .map(|_| switch_latency_ms(false, &mut rng, lat))
         .collect();

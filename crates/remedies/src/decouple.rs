@@ -98,9 +98,12 @@ pub fn decoupling_gain(uplink: bool) -> f64 {
 pub fn csfb_switch_never_blocked(high_rate_data: bool) -> bool {
     let mut rrc = Rrc3g::new();
     let mut out = Vec::new();
-    rrc.on_event(Rrc3gEvent::PsTrafficStart {
-        high_rate: high_rate_data,
-    }, &mut out);
+    rrc.on_event(
+        Rrc3gEvent::PsTrafficStart {
+            high_rate: high_rate_data,
+        },
+        &mut out,
+    );
     rrc.on_event(Rrc3gEvent::CsCallStart, &mut out);
     rrc.on_event(Rrc3gEvent::CsCallEnd, &mut out);
     // Without the tag, cell reselection would be blocked here:

@@ -77,7 +77,11 @@ const VOICE_AIRTIME_OVERHEAD: f64 = 0.50;
 ///
 /// `channels` is the number of 5 MHz carriers available; airtime within a
 /// channel is split evenly between the flows assigned to it.
-pub fn schedule(scheme: SharingScheme, devices: &[DeviceLoad], channels: usize) -> SchedulerOutcome {
+pub fn schedule(
+    scheme: SharingScheme,
+    devices: &[DeviceLoad],
+    channels: usize,
+) -> SchedulerOutcome {
     assert!(channels > 0, "need at least one carrier");
     let voice_flows: Vec<()> = devices.iter().filter(|d| d.voice).map(|_| ()).collect();
     let data_flows: Vec<()> = devices.iter().filter(|d| d.data).map(|_| ()).collect();
@@ -94,18 +98,13 @@ pub fn schedule(scheme: SharingScheme, devices: &[DeviceLoad], channels: usize) 
         SharingScheme::CoupledPerDevice => {
             // Each device owns a slice of a channel; a device with voice
             // runs its slice at 16QAM and burns the voice overhead.
-            let active: Vec<&DeviceLoad> =
-                devices.iter().filter(|d| d.voice || d.data).collect();
+            let active: Vec<&DeviceLoad> = devices.iter().filter(|d| d.voice || d.data).collect();
             let slice = channels as f64 / active.len() as f64;
             let mut data_total = 0.0;
             for d in &active {
                 if d.data {
                     let rate = if d.voice { dl16 } else { dl64 };
-                    let share = if d.voice {
-                        VOICE_AIRTIME_OVERHEAD
-                    } else {
-                        1.0
-                    };
+                    let share = if d.voice { VOICE_AIRTIME_OVERHEAD } else { 1.0 };
                     data_total += rate * slice.min(1.0) * share;
                 }
             }
@@ -162,7 +161,10 @@ pub fn schedule(scheme: SharingScheme, devices: &[DeviceLoad], channels: usize) 
 
 /// The §6.2 comparison experiment: a busy cell (many devices, half with
 /// calls, most with data) under all three schemes.
-pub fn sharing_comparison(devices: usize, channels: usize) -> Vec<(SharingScheme, SchedulerOutcome)> {
+pub fn sharing_comparison(
+    devices: usize,
+    channels: usize,
+) -> Vec<(SharingScheme, SchedulerOutcome)> {
     let loads: Vec<DeviceLoad> = (0..devices)
         .map(|i| DeviceLoad {
             voice: i % 2 == 0,

@@ -10,11 +10,11 @@
 
 use cellstack::{NasMessage, RatSystem};
 use netsim::FaultPolicy;
+use remedies::crosssys;
 use remedies::decouple::{self, Fig13Row};
 use remedies::parallel_mm;
 use remedies::scheduler::{self, DeviceLoad, SharingScheme};
 use remedies::shim::{figure12_left, figure12_left_run, ShimEndpoint, ShimFrame};
-use remedies::crosssys;
 
 fn attach_req() -> NasMessage {
     NasMessage::AttachRequest {

@@ -444,9 +444,7 @@ fn fmt_lit(lit: Literal) -> String {
 fn fmt_stmts(f: &mut fmt::Formatter<'_>, stmts: &[Stmt], indent: &str) -> fmt::Result {
     for s in stmts {
         match s {
-            Stmt::Assign { target, value } => {
-                writeln!(f, "{indent}{} = {};", target.name, value)?
-            }
+            Stmt::Assign { target, value } => writeln!(f, "{indent}{} = {};", target.name, value)?,
             Stmt::Send { chan, msg } => writeln!(f, "{indent}send {} {};", chan.name, msg.name)?,
             Stmt::Goto { target } => writeln!(f, "{indent}goto {};", target.name)?,
             Stmt::Start { timer } => writeln!(f, "{indent}start {};", timer.name)?,

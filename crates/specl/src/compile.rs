@@ -377,12 +377,16 @@ impl SpecModel {
         Arc::ptr_eq(&self.program, &other.program)
             && self.program.co_armed.iter().all(|&(t, u)| {
                 self.effective_duration(t).cmp(&self.effective_duration(u))
-                    == other.effective_duration(t).cmp(&other.effective_duration(u))
+                    == other
+                        .effective_duration(t)
+                        .cmp(&other.effective_duration(u))
             })
     }
 
     fn effective_duration(&self, t: usize) -> i64 {
-        self.program.timers[t].duration.saturating_mul(self.timer_scale[t])
+        self.program.timers[t]
+            .duration
+            .saturating_mul(self.timer_scale[t])
     }
 
     /// The minimal effective duration among armed timers, if any is armed.
@@ -408,7 +412,9 @@ pub fn compile(source: &str) -> Result<SpecModel, Vec<Diagnostic>> {
 pub fn lower(spec: &Spec) -> SpecModel {
     let msgs: Vec<String> = spec.msgs.iter().map(|m| m.name.clone()).collect();
     let msg_id = |name: &str| -> u16 {
-        msgs.iter().position(|m| m == name).expect("sema checked msgs") as u16
+        msgs.iter()
+            .position(|m| m == name)
+            .expect("sema checked msgs") as u16
     };
     let proc_idx = |name: &str| -> usize {
         spec.procs
@@ -537,12 +543,18 @@ pub fn lower(spec: &Spec) -> SpecModel {
             }
             ast::Expr::Unary { op, expr } => CExpr::Unary(
                 *op,
-                Box::new(lower_expr(expr, pi, slot_of, field_slot, proc_idx, state_idx)),
+                Box::new(lower_expr(
+                    expr, pi, slot_of, field_slot, proc_idx, state_idx,
+                )),
             ),
             ast::Expr::Binary { op, lhs, rhs } => CExpr::Binary(
                 *op,
-                Box::new(lower_expr(lhs, pi, slot_of, field_slot, proc_idx, state_idx)),
-                Box::new(lower_expr(rhs, pi, slot_of, field_slot, proc_idx, state_idx)),
+                Box::new(lower_expr(
+                    lhs, pi, slot_of, field_slot, proc_idx, state_idx,
+                )),
+                Box::new(lower_expr(
+                    rhs, pi, slot_of, field_slot, proc_idx, state_idx,
+                )),
             ),
         }
     }
@@ -685,9 +697,7 @@ fn expr_observes(e: &CExpr, pi: usize, locals: &std::ops::Range<usize>) -> bool 
         CExpr::Var(slot) => locals.contains(slot),
         CExpr::AtLoc(p, _) => *p == pi,
         CExpr::Unary(_, x) => expr_observes(x, pi, locals),
-        CExpr::Binary(_, a, b) => {
-            expr_observes(a, pi, locals) || expr_observes(b, pi, locals)
-        }
+        CExpr::Binary(_, a, b) => expr_observes(a, pi, locals) || expr_observes(b, pi, locals),
     }
 }
 
@@ -740,8 +750,7 @@ fn analyze_por(
                         && (ops_observe(&q.init_ops)
                             || q.states.iter().any(|s| {
                                 s.edges.iter().any(|e| {
-                                    e.guard.as_ref().is_some_and(observes)
-                                        || ops_observe(&e.ops)
+                                    e.guard.as_ref().is_some_and(observes) || ops_observe(&e.ops)
                                 })
                             }))
                 });
@@ -829,9 +838,10 @@ fn co_armed_pairs(procs: &[ProcDef], n_timers: usize) -> Vec<(usize, usize)> {
                 .any(|op| matches!(op, Op::Start(u) | Op::Stop(u) if *u == t))
         };
         in_ops(&p.init_ops)
-            || p.states.iter().flat_map(|s| &s.edges).any(|e| {
-                e.trigger == (EdgeTrigger::Expire { timer: t }) || in_ops(&e.ops)
-            })
+            || p.states
+                .iter()
+                .flat_map(|s| &s.edges)
+                .any(|e| e.trigger == (EdgeTrigger::Expire { timer: t }) || in_ops(&e.ops))
     };
     let owner: Vec<Option<usize>> = (0..n_timers)
         .map(|t| {
@@ -892,7 +902,12 @@ fn may_be_armed(p: &ProcDef, n_timers: usize) -> Vec<Vec<bool>> {
 impl Program {
     /// Number of global variable slots (they precede all locals).
     pub fn global_count(&self) -> usize {
-        self.vars.len() - self.procs.iter().map(|p| p.local_slots.len()).sum::<usize>()
+        self.vars.len()
+            - self
+                .procs
+                .iter()
+                .map(|p| p.local_slots.len())
+                .sum::<usize>()
     }
 
     /// Process `pi`'s location (a state index).
@@ -1128,7 +1143,9 @@ impl Model for SpecModel {
                 if prog.loc(s, pi) != usize::from(state) {
                     return None;
                 }
-                let e = prog.procs[pi].states[state as usize].edges.get(edge as usize)?;
+                let e = prog.procs[pi].states[state as usize]
+                    .edges
+                    .get(edge as usize)?;
                 if e.trigger != EdgeTrigger::When {
                     return None;
                 }
@@ -1239,7 +1256,10 @@ impl Model for SpecModel {
     fn components(&self, s: &SpecState, out: &mut Vec<Vec<u8>>) -> bool {
         let prog = &*self.program;
         let timer_comps = usize::from(!prog.timers.is_empty());
-        out.resize_with(1 + prog.procs.len() + prog.chans.len() + timer_comps, Vec::new);
+        out.resize_with(
+            1 + prog.procs.len() + prog.chans.len() + timer_comps,
+            Vec::new,
+        );
         let (g, rest) = out.split_first_mut().expect("the globals component");
         g.clear();
         for slot in 0..prog.global_count() {
@@ -1425,11 +1445,11 @@ impl Model for SpecModel {
     fn format_action(&self, a: &SpecAction) -> String {
         let prog = &*self.program;
         match *a {
-            SpecAction::Edge { proc, state, edge } => prog.procs[proc as usize].states
-                [state as usize]
-                .edges[edge as usize]
-                .display
-                .clone(),
+            SpecAction::Edge { proc, state, edge } => {
+                prog.procs[proc as usize].states[state as usize].edges[edge as usize]
+                    .display
+                    .clone()
+            }
             SpecAction::Deliver { chan, msg } => format!(
                 "{} delivers {}",
                 prog.chans[chan as usize].name, prog.msgs[msg as usize]
@@ -1506,7 +1526,11 @@ never RallyDone: p @ Done;
         assert_eq!(model.program.procs.len(), 2);
         let result = Checker::new(model).strategy(SearchStrategy::Bfs).run();
         let v = result.violation("RallyDone").expect("rally completes");
-        assert!(v.path.len() >= 6, "three rallies need sends+delivers, got {}", v.path.len());
+        assert!(
+            v.path.len() >= 6,
+            "three rallies need sends+delivers, got {}",
+            v.path.len()
+        );
         assert!(result.stats.unique_states > 5);
     }
 
@@ -1522,9 +1546,17 @@ never RallyDone: p @ Done;
         .unwrap();
         let (prog, s) = (&*model.program, model.init_states().remove(0));
         assert_eq!(prog.queue(&s, 0), [0]);
-        assert_eq!(prog.chan(&s, 0)[CHAN_LOST], 1, "lossy overflow is counted state");
+        assert_eq!(
+            prog.chan(&s, 0)[CHAN_LOST],
+            1,
+            "lossy overflow is counted state"
+        );
         assert_eq!(prog.queue(&s, 1), [0]);
-        assert_eq!(prog.chan(&s, 1)[CHAN_LOST], 0, "reliable full send vanishes silently");
+        assert_eq!(
+            prog.chan(&s, 1)[CHAN_LOST],
+            0,
+            "reliable full send vanishes silently"
+        );
     }
 
     #[test]
@@ -1561,7 +1593,11 @@ never RallyDone: p @ Done;
             .next_state(&s0, &SpecAction::Deliver { chan: 0, msg: 1 })
             .expect("deliver enabled");
         assert!(model.program.queue(&s1, 0).is_empty(), "message consumed");
-        assert_eq!(model.program.loc(&s1, 1), 0, "receiver unmoved by unexpected message");
+        assert_eq!(
+            model.program.loc(&s1, 1),
+            0,
+            "receiver unmoved by unexpected message"
+        );
     }
 
     #[test]
@@ -1626,7 +1662,10 @@ never RallyDone: p @ Done;
         let full = Checker::new(unbounded).strategy(SearchStrategy::Bfs).run();
         let cut = Checker::new(bounded).strategy(SearchStrategy::Bfs).run();
         assert_eq!(full.stats.unique_states, 10);
-        assert_eq!(cut.stats.unique_states, 5, "states past the boundary are not expanded");
+        assert_eq!(
+            cut.stats.unique_states, 5,
+            "states past the boundary are not expanded"
+        );
     }
 
     #[test]
@@ -1683,7 +1722,10 @@ never RallyDone: p @ Done;
         let mut bad = comps.clone();
         bad[3][5..7].copy_from_slice(&2u16.to_le_bytes());
         bad[3].extend_from_slice(&0u16.to_le_bytes());
-        assert!(model.reassemble(&bad).is_none(), "queue longer than its capacity");
+        assert!(
+            model.reassemble(&bad).is_none(),
+            "queue longer than its capacity"
+        );
     }
 
     const POR_SPEC: &str = "
@@ -1843,9 +1885,16 @@ never LongBeatsShort: fired_long && !fired_short;
 
     #[test]
     fn t3410_and_t3412_are_never_co_armed() {
-        let model =
-            compile(include_str!("../../../specs/fivegs/attach_timer_race_s10.specl")).unwrap();
-        let timers: Vec<&str> = model.program.timers.iter().map(|t| t.name.as_str()).collect();
+        let model = compile(include_str!(
+            "../../../specs/fivegs/attach_timer_race_s10.specl"
+        ))
+        .unwrap();
+        let timers: Vec<&str> = model
+            .program
+            .timers
+            .iter()
+            .map(|t| t.name.as_str())
+            .collect();
         assert_eq!(timers, ["t3410", "t3412"]);
         // T3412 starts as T3410 stops, and T3410 restarts only once T3412
         // has fired, so every scaling runs the same model.
@@ -1875,9 +1924,13 @@ never LongBeatsShort: fired_long && !fired_short;
              }",
         )
         .unwrap();
-        let all: Vec<(usize, usize)> =
-            (0..5).flat_map(|t| (t + 1..5).map(move |u| (t, u))).collect();
-        let apart = all.iter().copied().filter(|p| !model.program.co_armed.contains(p));
+        let all: Vec<(usize, usize)> = (0..5)
+            .flat_map(|t| (t + 1..5).map(move |u| (t, u)))
+            .collect();
+        let apart = all
+            .iter()
+            .copied()
+            .filter(|p| !model.program.co_armed.contains(p));
         assert_eq!(apart.collect::<Vec<_>>(), [(0, 4)], "only ta and later");
     }
 
@@ -1908,11 +1961,20 @@ never LongBeatsShort: fired_long && !fired_short;
             "restart in the body is a no-op"
         );
         assert!(
-            model.next_state(&s1, &SpecAction::TimerFire { timer: 0 }).is_none(),
+            model
+                .next_state(&s1, &SpecAction::TimerFire { timer: 0 })
+                .is_none(),
             "an expired deadline never fires again"
         );
         let s2 = model
-            .next_state(&s1, &SpecAction::Edge { proc: 0, state: 1, edge: 0 })
+            .next_state(
+                &s1,
+                &SpecAction::Edge {
+                    proc: 0,
+                    state: 1,
+                    edge: 0,
+                },
+            )
             .expect("when edge enabled");
         assert_eq!(
             model.program.timer(&s2, 0),
@@ -1939,12 +2001,25 @@ never LongBeatsShort: fired_long && !fired_short;
         let s0 = model.init_states().remove(0);
         let prog = &*model.program;
         let s1 = model.next_state(&s0, &fire).expect("fires");
-        assert_eq!((prog.var(&s1, 0), prog.timer(&s1, 0)), (1, timer_state::ARMED), "rearmed");
+        assert_eq!(
+            (prog.var(&s1, 0), prog.timer(&s1, 0)),
+            (1, timer_state::ARMED),
+            "rearmed"
+        );
         let s2 = model.next_state(&s1, &fire).expect("fires again");
-        let s3 = model.next_state(&s2, &fire).expect("guard now false; silent");
+        let s3 = model
+            .next_state(&s2, &fire)
+            .expect("guard now false; silent");
         assert_eq!(prog.var(&s3, 0), 2, "unmatched expiry runs no body");
-        assert_eq!(prog.timer(&s3, 0), timer_state::IDLE, "consumed without rearm");
-        assert!(model.next_state(&s3, &fire).is_none(), "idle timers never fire");
+        assert_eq!(
+            prog.timer(&s3, 0),
+            timer_state::IDLE,
+            "consumed without rearm"
+        );
+        assert!(
+            model.next_state(&s3, &fire).is_none(),
+            "idle timers never fire"
+        );
         let result = Checker::new(model).strategy(SearchStrategy::Bfs).run();
         assert!(result.complete, "timer cycles stay finite-state");
     }
@@ -1970,7 +2045,10 @@ never LongBeatsShort: fired_long && !fired_short;
         model.components(&s, &mut comps);
         let last = comps.len() - 1;
         comps[last][0] = 9;
-        assert!(model.reassemble(&comps).is_none(), "garbage timer cell rejected");
+        assert!(
+            model.reassemble(&comps).is_none(),
+            "garbage timer cell rejected"
+        );
     }
 
     #[test]
@@ -2011,7 +2089,10 @@ never LongBeatsShort: fired_long && !fired_short;
              never P: done;",
         )
         .unwrap();
-        assert!(atomic.program.por.ample_locs[0][0], "atomic asserts invisibility");
+        assert!(
+            atomic.program.por.ample_locs[0][0],
+            "atomic asserts invisibility"
+        );
         let s = atomic.init_states().remove(0);
         let mut ample = Vec::new();
         assert!(atomic.reduced_actions(&s, &mut ample));
@@ -2031,8 +2112,14 @@ never LongBeatsShort: fired_long && !fired_short;
         )
         .unwrap();
         let por = &model.program.por;
-        assert!(!por.ample_locs[0][0], "start in the body is visible to expire edges");
-        assert!(!por.ample_locs[0][1], "expire locations depend on shared timer cells");
+        assert!(
+            !por.ample_locs[0][0],
+            "start in the body is visible to expire edges"
+        );
+        assert!(
+            !por.ample_locs[0][1],
+            "expire locations depend on shared timer cells"
+        );
     }
 
     #[test]

@@ -99,11 +99,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: {}",
-            self.span.line, self.span.col, self.message
-        )
+        write!(f, "{}:{}: {}", self.span.line, self.span.col, self.message)
     }
 }
 

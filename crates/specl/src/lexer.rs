@@ -240,9 +240,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, Diagnostic> {
             'a'..='z' | 'A'..='Z' | '_' => {
                 let start = i;
                 let scol = col;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                     col += 1;
                 }
@@ -413,7 +411,9 @@ mod tests {
     fn comments_and_strings() {
         let toks = kinds("when x as \"retry timer\" // trailing\n{ }");
         assert!(toks.contains(&Tok::Str("retry timer".into())));
-        assert!(!toks.iter().any(|t| matches!(t, Tok::Ident(s) if s == "trailing")));
+        assert!(!toks
+            .iter()
+            .any(|t| matches!(t, Tok::Ident(s) if s == "trailing")));
     }
 
     #[test]

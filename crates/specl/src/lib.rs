@@ -83,6 +83,9 @@ mod tests {
         let rendered = crate::render_diagnostics(&diags, "bad.specl", src);
         assert!(rendered.contains("unknown variable `oops`"));
         assert!(rendered.contains("bad.specl:2:25"));
-        assert!(rendered.contains("^^^^"), "caret run under `oops`:\n{rendered}");
+        assert!(
+            rendered.contains("^^^^"),
+            "caret run under `oops`:\n{rendered}"
+        );
     }
 }

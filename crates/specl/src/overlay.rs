@@ -183,8 +183,8 @@ never Stuck: false;
              proc p { init { start retry; } state S { expire retry { } } }\n",
         )
         .expect("base parses");
-        let patch = parse("spec t_slow;\ntimer retry = 40;\ndeadline guard = 99;\n")
-            .expect("patch parses");
+        let patch =
+            parse("spec t_slow;\ntimer retry = 40;\ndeadline guard = 99;\n").expect("patch parses");
         let merged = apply_overlay(&base, &patch);
         assert_eq!(merged.timers.len(), 2);
         assert_eq!(merged.timers[0].duration, 40, "retry replaced in place");

@@ -67,7 +67,10 @@ impl Parser {
     fn bump(&mut self) -> Token {
         let span = self.toks[self.pos].span;
         if self.pos + 1 == self.toks.len() {
-            return Token { tok: Tok::Eof, span };
+            return Token {
+                tok: Tok::Eof,
+                span,
+            };
         }
         let tok = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
         self.pos += 1;
@@ -88,7 +91,11 @@ impl Parser {
             Ok(self.bump())
         } else {
             Err(Diagnostic::new(
-                format!("expected `{}`, found {}", tok.lexeme(), self.peek().describe()),
+                format!(
+                    "expected `{}`, found {}",
+                    tok.lexeme(),
+                    self.peek().describe()
+                ),
                 self.peek_span(),
             ))
         }
@@ -97,7 +104,11 @@ impl Parser {
     fn ident(&mut self, what: &str) -> Result<Ident, Diagnostic> {
         match self.peek() {
             Tok::Ident(_) => {
-                let Token { tok: Tok::Ident(name), span } = self.bump() else {
+                let Token {
+                    tok: Tok::Ident(name),
+                    span,
+                } = self.bump()
+                else {
                     unreachable!("peeked an identifier")
                 };
                 Ok(Ident { name, span })
@@ -398,7 +409,10 @@ impl Parser {
                 }
                 other => {
                     return Err(Diagnostic::new(
-                        format!("expected a string label after `as`, found {}", other.describe()),
+                        format!(
+                            "expected a string label after `as`, found {}",
+                            other.describe()
+                        ),
                         self.peek_span(),
                     ))
                 }
@@ -678,9 +692,8 @@ boundary: p.tries <= 3;
     fn print_parse_roundtrip_is_identity() {
         let mut first = parse(TINY).unwrap();
         let printed = first.to_string();
-        let mut second = parse(&printed).unwrap_or_else(|d| {
-            panic!("canonical print must reparse: {d}\n{printed}")
-        });
+        let mut second = parse(&printed)
+            .unwrap_or_else(|d| panic!("canonical print must reparse: {d}\n{printed}"));
         first.strip_spans();
         second.strip_spans();
         assert_eq!(first, second);
@@ -747,7 +760,9 @@ never Lost: p @ Lost;
             Trigger::Expire { ref timer, guard: Some(_) } if timer.name == "guard"
         ));
         assert!(edges[2].atomic && matches!(edges[2].trigger, Trigger::When(_)));
-        assert!(matches!(spec.procs[0].init[0], Stmt::Start { ref timer } if timer.name == "t3510"));
+        assert!(
+            matches!(spec.procs[0].init[0], Stmt::Start { ref timer } if timer.name == "t3510")
+        );
         assert!(matches!(
             spec.procs[0].states[0].edges[1].body[0],
             Stmt::Stop { ref timer } if timer.name == "t3510"
@@ -769,7 +784,11 @@ never Lost: p @ Lost;
     #[test]
     fn timer_declaration_requires_a_duration() {
         let err = parse("spec x; timer t = ;").unwrap_err();
-        assert!(err.message.contains("expected timer duration"), "{}", err.message);
+        assert!(
+            err.message.contains("expected timer duration"),
+            "{}",
+            err.message
+        );
     }
 
     #[test]

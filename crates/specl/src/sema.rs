@@ -104,22 +104,34 @@ impl<'a> Ck<'a> {
         }
         for c in &spec.chans {
             if self.chans.insert(&c.name.name, c).is_some() {
-                self.err(format!("channel `{}` declared twice", c.name.name), c.name.span);
+                self.err(
+                    format!("channel `{}` declared twice", c.name.name),
+                    c.name.span,
+                );
             }
         }
         for g in &spec.globals {
             if self.globals.insert(&g.name.name, g).is_some() {
-                self.err(format!("global `{}` declared twice", g.name.name), g.name.span);
+                self.err(
+                    format!("global `{}` declared twice", g.name.name),
+                    g.name.span,
+                );
             }
         }
         for p in &spec.procs {
             if self.procs.insert(&p.name.name, p).is_some() {
-                self.err(format!("process `{}` declared twice", p.name.name), p.name.span);
+                self.err(
+                    format!("process `{}` declared twice", p.name.name),
+                    p.name.span,
+                );
             }
         }
         for t in &spec.timers {
             if self.timers.insert(&t.name.name, t).is_some() {
-                self.err(format!("timer `{}` declared twice", t.name.name), t.name.span);
+                self.err(
+                    format!("timer `{}` declared twice", t.name.name),
+                    t.name.span,
+                );
             }
         }
     }
@@ -229,7 +241,10 @@ impl<'a> Ck<'a> {
             }
             if locals.insert(&v.name.name, v).is_some() {
                 self.err(
-                    format!("local `{}` declared twice in `{}`", v.name.name, p.name.name),
+                    format!(
+                        "local `{}` declared twice in `{}`",
+                        v.name.name, p.name.name
+                    ),
                     v.name.span,
                 );
             }
@@ -244,7 +259,10 @@ impl<'a> Ck<'a> {
         for s in &p.states {
             if !state_names.insert(&s.name.name) {
                 self.err(
-                    format!("state `{}` declared twice in `{}`", s.name.name, p.name.name),
+                    format!(
+                        "state `{}` declared twice in `{}`",
+                        s.name.name, p.name.name
+                    ),
                     s.name.span,
                 );
             }
@@ -381,7 +399,10 @@ impl<'a> Ck<'a> {
         let props = self.spec.props.clone();
         for p in &props {
             if !names.insert(p.name.name.clone()) {
-                self.err(format!("property `{}` declared twice", p.name.name), p.name.span);
+                self.err(
+                    format!("property `{}` declared twice", p.name.name),
+                    p.name.span,
+                );
             }
             self.expect_ty(&p.expr, STy::Bool, None, "a property");
         }
@@ -455,7 +476,11 @@ impl<'a> Ck<'a> {
                 Some(STy::Bool)
             }
             Expr::Unary { op, expr } => {
-                let want = if *op == UnOp::Not { STy::Bool } else { STy::Int };
+                let want = if *op == UnOp::Not {
+                    STy::Bool
+                } else {
+                    STy::Int
+                };
                 self.expect_ty(expr, want, proc, "the operand");
                 Some(want)
             }
@@ -529,11 +554,18 @@ never P: g && b.n >= 1 && b @ T;
              proc b { state T { recv c Q { } } }
              never P: c_undeclared;",
         );
-        assert!(es.iter().any(|e| e.contains("unknown channel `d`")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("no such state")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("unknown message `Q`")), "{es:?}");
         assert!(
-            es.iter().any(|e| e.contains("unknown variable `c_undeclared`")),
+            es.iter().any(|e| e.contains("unknown channel `d`")),
+            "{es:?}"
+        );
+        assert!(es.iter().any(|e| e.contains("no such state")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("unknown message `Q`")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter()
+                .any(|e| e.contains("unknown variable `c_undeclared`")),
             "{es:?}"
         );
     }
@@ -545,8 +577,14 @@ never P: g && b.n >= 1 && b @ T;
              proc a { state S { recv c M { } } }
              proc b { state T { when true { send c M; } } }",
         );
-        assert!(es.iter().any(|e| e.contains("cannot recv on `c`")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("cannot send on `c`")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("cannot recv on `c`")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter().any(|e| e.contains("cannot send on `c`")),
+            "{es:?}"
+        );
     }
 
     #[test]
@@ -557,13 +595,18 @@ never P: g && b.n >= 1 && b @ T;
              global n: int 0..5 = 0;
              proc a { state S { when n { n = g; g = n + 1; } } }",
         );
-        assert!(es.iter().any(|e| e.contains("guard must be bool")), "{es:?}");
         assert!(
-            es.iter().any(|e| e.contains("assigned value must be int, got bool")),
+            es.iter().any(|e| e.contains("guard must be bool")),
             "{es:?}"
         );
         assert!(
-            es.iter().any(|e| e.contains("assigned value must be bool, got int")),
+            es.iter()
+                .any(|e| e.contains("assigned value must be int, got bool")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter()
+                .any(|e| e.contains("assigned value must be bool, got int")),
             "{es:?}"
         );
     }
@@ -579,7 +622,10 @@ never P: g && b.n >= 1 && b @ T;
         );
         assert!(es.iter().any(|e| e.contains("empty range")), "{es:?}");
         assert!(es.iter().any(|e| e.contains("outside its range")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("capacity must be between")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("capacity must be between")),
+            "{es:?}"
+        );
     }
 
     #[test]
@@ -591,11 +637,23 @@ never P: g && b.n >= 1 && b @ T;
              proc p { state T { } }
              never P: g; never P: !g;",
         );
-        assert!(es.iter().any(|e| e.contains("message `M` declared twice")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("message `M` declared twice")),
+            "{es:?}"
+        );
         assert!(es.iter().any(|e| e.contains("shadows a global")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("state `S` declared twice")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("process `p` declared twice")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("property `P` declared twice")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("state `S` declared twice")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter().any(|e| e.contains("process `p` declared twice")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter().any(|e| e.contains("property `P` declared twice")),
+            "{es:?}"
+        );
     }
 
     const TIMED_OK: &str = "
@@ -628,8 +686,14 @@ never P: p @ Dead;
              timer t = 5;
              proc p { init { start u; stop v; } state S { expire w { } } }",
         );
-        assert!(es.iter().any(|e| e.contains("duration must be between")), "{es:?}");
-        assert!(es.iter().any(|e| e.contains("timer `t` declared twice")), "{es:?}");
+        assert!(
+            es.iter().any(|e| e.contains("duration must be between")),
+            "{es:?}"
+        );
+        assert!(
+            es.iter().any(|e| e.contains("timer `t` declared twice")),
+            "{es:?}"
+        );
         assert!(es.iter().any(|e| e.contains("`start u`")), "{es:?}");
         assert!(es.iter().any(|e| e.contains("`stop v`")), "{es:?}");
         assert!(es.iter().any(|e| e.contains("`expire w`")), "{es:?}");
@@ -652,7 +716,8 @@ never P: p @ Dead;
         assert!(es.iter().any(|e| e.contains("may not `send`")), "{es:?}");
         assert!(es.iter().any(|e| e.contains("may not `start`")), "{es:?}");
         assert!(
-            es.iter().any(|e| e.contains("applies only to `when` edges")),
+            es.iter()
+                .any(|e| e.contains("applies only to `when` edges")),
             "{es:?}"
         );
     }
@@ -678,7 +743,8 @@ never P: p @ Dead;
              never P: n > 0;",
         );
         assert!(
-            es.iter().any(|e| e.contains("unknown variable `n`") && e.contains("globals")),
+            es.iter()
+                .any(|e| e.contains("unknown variable `n`") && e.contains("globals")),
             "{es:?}"
         );
     }

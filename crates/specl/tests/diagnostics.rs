@@ -21,7 +21,10 @@ fn lex_error_points_at_the_bad_character() {
     assert!(out.contains("bad.specl:2:25"), "{out}");
     assert!(out.contains("unexpected character `?`"), "{out}");
     // The caret line sits under the quoted source line.
-    assert!(out.contains("2 | proc p { state A { when ? { } } }"), "{out}");
+    assert!(
+        out.contains("2 | proc p { state A { when ? { } } }"),
+        "{out}"
+    );
     assert!(out.contains("^"), "{out}");
 }
 
@@ -82,7 +85,10 @@ fn diagnostics_display_is_line_col_message() {
     let diags = compile("spec s;\nglobal g: int 5..1 = 2;\n").unwrap_err();
     let shown = diags[0].to_string();
     assert!(shown.starts_with("2:"), "{shown}");
-    assert!(shown.contains("empty range") || shown.contains("range"), "{shown}");
+    assert!(
+        shown.contains("empty range") || shown.contains("range"),
+        "{shown}"
+    );
 }
 
 /// Every shipped `.specl` file as `(file name, source)`, from `specs/`,
@@ -102,7 +108,11 @@ fn shipped_specs() -> Vec<(String, String)> {
     files
         .into_iter()
         .map(|p| {
-            let name = p.file_name().expect("file name").to_string_lossy().into_owned();
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
             (name, fs::read_to_string(&p).expect("spec readable"))
         })
         .collect()
@@ -134,14 +144,21 @@ fn assert_compiles_or_renders(file: &str, source: &str, input: &str) {
 /// `diags` is not empty, and rendering it against `source` shows one
 /// `file:line:col` location and one caret run per diagnostic.
 fn assert_renders(file: &str, source: &str, input: &str, diags: &[Diagnostic]) {
-    assert!(!diags.is_empty(), "{input} of {file}: an error with no diagnostic");
+    assert!(
+        !diags.is_empty(),
+        "{input} of {file}: an error with no diagnostic"
+    );
     let out = render_diagnostics(diags, file, source);
     for d in diags {
         let at = format!("--> {file}:{}:{}", d.span.line, d.span.col);
         assert!(out.contains(&at), "{input} of {file}: no `{at}` in\n{out}");
     }
     let carets = out.lines().filter(|l| l.ends_with('^')).count();
-    assert_eq!(carets, diags.len(), "{input} of {file}: one caret run each in\n{out}");
+    assert_eq!(
+        carets,
+        diags.len(),
+        "{input} of {file}: one caret run each in\n{out}"
+    );
 }
 
 /// `truncations` truncated and `splices` token-spliced copies of `source`,
@@ -167,7 +184,10 @@ fn mangled(
         let token = &source[span.start..span.end];
         let piece = SPLICES[rng.below(SPLICES.len())];
         out.push(match rng.below(3) {
-            0 => (format!("deleting `{token}` at {}", span.start), format!("{head}{tail}")),
+            0 => (
+                format!("deleting `{token}` at {}", span.start),
+                format!("{head}{tail}"),
+            ),
             1 => (
                 format!("inserting `{piece}` at {}", span.start),
                 format!("{head}{piece} {token}{tail}"),
@@ -184,10 +204,44 @@ fn mangled(
 /// Text spliced in at a token boundary: punctuation, an oversized number
 /// and every keyword.
 const SPLICES: &[&str] = &[
-    ";", "{", "}", "..", "9999999", "spec", "instance", "msg", "chan", "from", "to", "cap",
-    "lossy", "dup", "global", "proc", "var", "init", "state", "when", "recv", "send", "goto",
-    "as", "bool", "int", "true", "false", "always", "never", "eventually", "boundary", "timer",
-    "deadline", "start", "stop", "expire", "atomic",
+    ";",
+    "{",
+    "}",
+    "..",
+    "9999999",
+    "spec",
+    "instance",
+    "msg",
+    "chan",
+    "from",
+    "to",
+    "cap",
+    "lossy",
+    "dup",
+    "global",
+    "proc",
+    "var",
+    "init",
+    "state",
+    "when",
+    "recv",
+    "send",
+    "goto",
+    "as",
+    "bool",
+    "int",
+    "true",
+    "false",
+    "always",
+    "never",
+    "eventually",
+    "boundary",
+    "timer",
+    "deadline",
+    "start",
+    "stop",
+    "expire",
+    "atomic",
 ];
 
 /// Truncated and token-spliced copies of every shipped spec go through
@@ -213,7 +267,10 @@ fn mangled_shipped_specs_fail_with_diagnostics_never_panics() {
 #[test]
 fn mangled_remedy_overlays_fail_with_diagnostics_never_panics() {
     let specs = shipped_specs();
-    let patches: Vec<_> = specs.iter().filter(|(file, _)| file.contains("__")).collect();
+    let patches: Vec<_> = specs
+        .iter()
+        .filter(|(file, _)| file.contains("__"))
+        .collect();
     assert_eq!(patches.len(), 2, "both shipped patches are fed through");
     let mut rng = Rng(0x0fe7_1a75);
     for (file, source) in patches {
@@ -241,7 +298,10 @@ fn mangled_remedy_overlays_fail_with_diagnostics_never_panics() {
             })
             .unwrap_or_else(|_| panic!("{panicked}"));
             if let Err(diags) = checked {
-                assert!(!diags.is_empty(), "{input} of {file}: a merge error with no diagnostic");
+                assert!(
+                    !diags.is_empty(),
+                    "{input} of {file}: a merge error with no diagnostic"
+                );
             }
         }
     }

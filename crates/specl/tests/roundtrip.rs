@@ -13,11 +13,11 @@
 //! because `-3` canonically reparses as unary negation.
 
 use proptest::prelude::*;
+use specl::ast::dummy_span;
 use specl::ast::{
     BinOp, ChanDecl, EdgeDecl, Expr, Ident, Literal, ProcDecl, PropDecl, Quant, Spec, StateDecl,
     Stmt, TimerDecl, Trigger, Ty, UnOp, VarDecl,
 };
-use specl::ast::dummy_span;
 use specl::parse;
 
 /// Deterministic xorshift64* generator — the proptest shim hands us a seed
@@ -50,8 +50,24 @@ impl Gen {
     /// cellular-flavoured pool, optionally numbered.
     fn ident(&mut self) -> Ident {
         const POOL: &[&str] = &[
-            "ue", "mme", "msc", "rrc", "emm", "esm", "bearer", "alpha", "beta", "gamma", "delta",
-            "attempts", "registered", "uplink", "downlink", "Idle", "Connected", "Waiting",
+            "ue",
+            "mme",
+            "msc",
+            "rrc",
+            "emm",
+            "esm",
+            "bearer",
+            "alpha",
+            "beta",
+            "gamma",
+            "delta",
+            "attempts",
+            "registered",
+            "uplink",
+            "downlink",
+            "Idle",
+            "Connected",
+            "Waiting",
         ];
         let base = POOL[self.below(POOL.len() as u64) as usize];
         if self.chance(40) {
@@ -109,7 +125,11 @@ impl Gen {
         }
         if self.chance(25) {
             Expr::Unary {
-                op: if self.chance(50) { UnOp::Not } else { UnOp::Neg },
+                op: if self.chance(50) {
+                    UnOp::Not
+                } else {
+                    UnOp::Neg
+                },
                 expr: Box::new(self.expr(depth - 1)),
             }
         } else {
@@ -194,7 +214,11 @@ impl Gen {
         ProcDecl {
             name: self.ident(),
             vars: (0..self.below(3)).map(|_| self.var_decl()).collect(),
-            init: if self.chance(50) { self.stmts(3) } else { Vec::new() },
+            init: if self.chance(50) {
+                self.stmts(3)
+            } else {
+                Vec::new()
+            },
             states: (0..self.below(4))
                 .map(|_| StateDecl {
                     name: self.ident(),

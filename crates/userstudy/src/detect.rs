@@ -155,7 +155,11 @@ mod tests {
 
     fn cs_call(t: &mut TraceCollector, at_ms: u64, with_data_sample: bool) {
         record(t, at_ms, TraceEvent::Call(CallPhase::Dialed));
-        record(t, at_ms + 1_000, TraceEvent::RadioConfig { allow_64qam: false });
+        record(
+            t,
+            at_ms + 1_000,
+            TraceEvent::RadioConfig { allow_64qam: false },
+        );
         record(t, at_ms + 1_000, TraceEvent::Call(CallPhase::Connected));
         if with_data_sample {
             record(
@@ -168,7 +172,11 @@ mod tests {
                 },
             );
         }
-        record(t, at_ms + 30_000, TraceEvent::RadioConfig { allow_64qam: true });
+        record(
+            t,
+            at_ms + 30_000,
+            TraceEvent::RadioConfig { allow_64qam: true },
+        );
         record(t, at_ms + 30_000, TraceEvent::Call(CallPhase::Released));
     }
 

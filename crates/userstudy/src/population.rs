@@ -203,7 +203,10 @@ mod tests {
         assert!((140.0..=152.0).contains(&cs), "≈146 CS calls, {cs}");
         // Initial attach per participant + re-attach power cycles.
         let attaches = 20.0 + 20.0 * STUDY_DAYS as f64 * rates::POWER_CYCLES_PER_DAY;
-        assert!((27.0..=33.0).contains(&attaches), "≈30 attaches, {attaches}");
+        assert!(
+            (27.0..=33.0).contains(&attaches),
+            "≈30 attaches, {attaches}"
+        );
     }
 
     #[test]

@@ -290,7 +290,8 @@ fn analyze_ue(p: &Participant, u: &UeOutcome) -> StudyResult {
                     let to = a.at + (call_ms + 25_000);
                     if let Some(kbps) = detect::dl_rate_during_call(entries, a.at, to) {
                         let secs = (call_ms + 15_000) as f64 / 1_000.0;
-                        r.s5_affected_kb.push(secs * demand_kbps.min(kbps) as f64 / 8.0);
+                        r.s5_affected_kb
+                            .push(secs * demand_kbps.min(kbps) as f64 / 8.0);
                     }
                 }
             }
@@ -327,7 +328,11 @@ mod tests {
             "≈436 switches, got {}",
             r.switches
         );
-        assert!((20..=45).contains(&r.attaches), "≈30 attaches, got {}", r.attaches);
+        assert!(
+            (20..=45).contains(&r.attaches),
+            "≈30 attaches, got {}",
+            r.attaches
+        );
     }
 
     #[test]
@@ -416,8 +421,6 @@ mod tests {
             assert!(o.events <= o.denominator, "{o:?}");
         }
         // Every Table 6 sample comes from a data-on CSFB call.
-        assert!(
-            (r.stuck_op1_ms.len() + r.stuck_op2_ms.len()) as u32 <= r.s3.denominator
-        );
+        assert!((r.stuck_op1_ms.len() + r.stuck_op2_ms.len()) as u32 <= r.s3.denominator);
     }
 }

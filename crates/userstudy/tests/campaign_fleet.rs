@@ -75,7 +75,10 @@ fn msc_brownout_window_raises_the_s5_rate() {
     let (base_c, base_r) = s5_tallies(None);
     let (out_c, out_r) = s5_tallies(Some(msc_brownout()));
     assert!(base_c > 0 && base_r > 0, "baseline settles both ways");
-    assert!(out_c > 0, "the fleet still confirms S5 under the fault window");
+    assert!(
+        out_c > 0,
+        "the fleet still confirms S5 under the fault window"
+    );
     let base_rate = base_c as f64 / (base_c + base_r) as f64;
     let out_rate = out_c as f64 / (out_c + out_r) as f64;
     assert!(

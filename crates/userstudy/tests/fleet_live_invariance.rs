@@ -4,9 +4,7 @@
 //! whatever the shard thread count — the tallies are a pure per-lane
 //! function of each UE's event stream.
 
-use netsim::{
-    op_i, op_ii, BehaviorProfile, FleetConfig, FleetSim, LiveConfig, UeSpec,
-};
+use netsim::{op_i, op_ii, BehaviorProfile, FleetConfig, FleetSim, LiveConfig, UeSpec};
 use userstudy::study_signatures;
 
 const N_UES: usize = 20_000;

@@ -34,7 +34,10 @@ fn push_call(t: &mut TraceCollector, at_ms: u64, with_data: bool, stuck_ms: u64)
             },
         );
     }
-    rec(at_ms + 30_000, TraceEvent::RadioConfig { allow_64qam: true });
+    rec(
+        at_ms + 30_000,
+        TraceEvent::RadioConfig { allow_64qam: true },
+    );
     rec(at_ms + 30_000, TraceEvent::Call(CallPhase::Released));
     rec(
         at_ms + 30_000 + stuck_ms,

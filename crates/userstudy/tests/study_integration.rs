@@ -21,12 +21,20 @@ fn study() -> &'static StudyResult {
 fn proportions_track_table5() {
     let r = study();
     // Paper: S1 3.1%, S2 0%, S3 62.1%, S4 7.6%, S5 77.4%, S6 2.6%.
-    assert!((0.005..=0.08).contains(&r.s1.probability()), "S1 {:?}", r.s1);
+    assert!(
+        (0.005..=0.08).contains(&r.s1.probability()),
+        "S1 {:?}",
+        r.s1
+    );
     assert!(r.s2.events <= 1, "S2 {:?}", r.s2);
     assert!((0.45..=0.75).contains(&r.s3.probability()), "S3 {:?}", r.s3);
     assert!((0.01..=0.16).contains(&r.s4.probability()), "S4 {:?}", r.s4);
     assert!((0.65..=0.90).contains(&r.s5.probability()), "S5 {:?}", r.s5);
-    assert!((0.005..=0.08).contains(&r.s6.probability()), "S6 {:?}", r.s6);
+    assert!(
+        (0.005..=0.08).contains(&r.s6.probability()),
+        "S6 {:?}",
+        r.s6
+    );
     // The paper's ordering across instances: S5 > S3 >> S4 > S1, S6.
     assert!(r.s5.probability() > r.s3.probability());
     assert!(r.s3.probability() > r.s4.probability());

@@ -61,9 +61,13 @@ fn main() {
         )
     };
     let (mn, md, mx) = stats(&with);
-    println!("  3G->4G switch with bearer reactivation:   min {mn:.2}s median {md:.2}s max {mx:.2}s");
+    println!(
+        "  3G->4G switch with bearer reactivation:   min {mn:.2}s median {md:.2}s max {mx:.2}s"
+    );
     let (mn, md, mx) = stats(&without);
-    println!("  3G->4G switch with detach + re-attach:    min {mn:.2}s median {md:.2}s max {mx:.2}s");
+    println!(
+        "  3G->4G switch with detach + re-attach:    min {mn:.2}s median {md:.2}s max {mx:.2}s"
+    );
     println!(
         "  FSM verification: bearer reactivation = {}, MME LU recovery = {}",
         remedies::verify_bearer_reactivation(),

@@ -32,9 +32,7 @@ fn validation_observes_all_six_instances_somewhere() {
     let outcomes = validate_all(2014);
     for inst in Instance::ALL {
         assert!(
-            outcomes
-                .iter()
-                .any(|v| v.instance == inst && v.observed),
+            outcomes.iter().any(|v| v.instance == inst && v.observed),
             "{inst} must be observed on at least one carrier"
         );
     }
@@ -61,8 +59,18 @@ fn s3_confirms_on_both_carriers_with_divergent_severity() {
             .find(|v| v.instance == Instance::S3 && v.operator == op)
             .unwrap();
         assert_eq!(v.verdict, Verdict::Confirmed, "{op}: {}", v.evidence);
-        let released = v.span.iter().find(|m| m.step == "call-released").unwrap().ts;
-        let returned = v.span.iter().find(|m| m.step == "returned-to-4g").unwrap().ts;
+        let released = v
+            .span
+            .iter()
+            .find(|m| m.step == "call-released")
+            .unwrap()
+            .ts;
+        let returned = v
+            .span
+            .iter()
+            .find(|m| m.step == "returned-to-4g")
+            .unwrap()
+            .ts;
         returned.since(released)
     };
     assert!(stuck_ms("OP-II") > 300_000, "OP-II tracks the data session");
@@ -112,7 +120,11 @@ fn diagnosis_matrix_matches_table1() {
                 assert!(!d.predicted_by_screening);
                 assert!(d.witness_verdict.is_none());
                 let confirmed = d.outcomes.iter().filter(|o| o.observed).count();
-                assert_eq!(confirmed, 1, "{}: exactly one carrier exhibits it", d.instance);
+                assert_eq!(
+                    confirmed, 1,
+                    "{}: exactly one carrier exhibits it",
+                    d.instance
+                );
             }
             Instance::S7 | Instance::S8 | Instance::S9 | Instance::S10 => {
                 unreachable!("diagnose() covers Table 1 only; S7+ go through --exp fivegs")
