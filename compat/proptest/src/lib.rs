@@ -126,7 +126,7 @@ pub mod collection {
     use super::strategy::Strategy;
     use rand::rngs::StdRng;
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Draw a length.
         fn sample_len(&self, rng: &mut StdRng) -> usize;

@@ -1,4 +1,4 @@
-//! Derive macros for the workspace's offline `serde` subset.
+//! The `Serialize` derive macro for the workspace's offline `serde` subset.
 //!
 //! Upstream `serde_derive` depends on `syn`/`quote`, which are unavailable
 //! offline, so the item grammar is parsed directly from the raw
@@ -32,15 +32,6 @@ enum Item {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Ok(item) => gen_serialize(&item).parse().unwrap(),
-        Err(e) => error_ts(&e),
-    }
-}
-
-/// Derive `serde::Deserialize` (value-tree flavour).
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen_deserialize(&item).parse().unwrap(),
         Err(e) => error_ts(&e),
     }
 }
@@ -309,135 +300,4 @@ fn write_fields(fields: &Fields, access: impl Fn(&str) -> String) -> String {
 /// JSON escaping, so derived keys and tags are written verbatim.
 fn quoted(name: &str) -> String {
     format!("{:?}", format!("\"{name}\""))
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => format!(
-                    "match __v {{ ::serde::Value::Null => \
-                     ::std::result::Result::Ok({name}), _ => \
-                     ::std::result::Result::Err(::serde::Error::msg(\
-                     \"expected null for unit struct {name}\")) }}"
-                ),
-                Fields::Tuple(1) => format!(
-                    "::std::result::Result::Ok({name}(\
-                     ::serde::Deserialize::from_value(__v)?))"
-                ),
-                Fields::Tuple(n) => {
-                    let elems: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::from_value(&__xs[{i}])?"))
-                        .collect();
-                    format!(
-                        "match __v {{ ::serde::Value::Seq(__xs) if __xs.len() == {n} => \
-                         ::std::result::Result::Ok({name}({})), _ => \
-                         ::std::result::Result::Err(::serde::Error::msg(\
-                         \"expected {n}-element array for {name}\")) }}",
-                        elems.join(", ")
-                    )
-                }
-                Fields::Named(fs) => {
-                    let inits: Vec<String> = fs
-                        .iter()
-                        .map(|f| {
-                            format!(
-                                "{f}: ::serde::Deserialize::from_value(\
-                                 ::serde::get_field(__m, {f:?})?)?"
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "match __v {{ ::serde::Value::Map(__m) => \
-                         ::std::result::Result::Ok({name} {{ {} }}), _ => \
-                         ::std::result::Result::Err(::serde::Error::msg(\
-                         \"expected object for struct {name}\")) }}",
-                        inits.join(", ")
-                    )
-                }
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> \
-                     ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n\
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let unit_arms: Vec<String> = variants
-                .iter()
-                .filter(|(_, f)| matches!(f, Fields::Unit))
-                .map(|(v, _)| format!("{v:?} => ::std::result::Result::Ok({name}::{v}),"))
-                .collect();
-            let data_arms: Vec<String> = variants
-                .iter()
-                .filter_map(|(v, fields)| match fields {
-                    Fields::Unit => None,
-                    Fields::Tuple(1) => Some(format!(
-                        "{v:?} => ::std::result::Result::Ok({name}::{v}(\
-                         ::serde::Deserialize::from_value(__val)?)),"
-                    )),
-                    Fields::Tuple(n) => {
-                        let elems: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::from_value(&__xs[{i}])?"))
-                            .collect();
-                        Some(format!(
-                            "{v:?} => match __val {{ \
-                             ::serde::Value::Seq(__xs) if __xs.len() == {n} => \
-                             ::std::result::Result::Ok({name}::{v}({})), _ => \
-                             ::std::result::Result::Err(::serde::Error::msg(\
-                             \"expected {n}-element array for variant {v}\")) }},",
-                            elems.join(", ")
-                        ))
-                    }
-                    Fields::Named(fs) => {
-                        let inits: Vec<String> = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(\
-                                     ::serde::get_field(__fm, {f:?})?)?"
-                                )
-                            })
-                            .collect();
-                        Some(format!(
-                            "{v:?} => match __val {{ ::serde::Value::Map(__fm) => \
-                             ::std::result::Result::Ok({name}::{v} {{ {} }}), _ => \
-                             ::std::result::Result::Err(::serde::Error::msg(\
-                             \"expected object for variant {v}\")) }},",
-                            inits.join(", ")
-                        ))
-                    }
-                })
-                .collect();
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn from_value(__v: &::serde::Value) -> \
-                     ::std::result::Result<Self, ::serde::Error> {{\n\
-                         match __v {{\n\
-                             ::serde::Value::Str(__s) => match __s.as_str() {{\n\
-                                 {}\n\
-                                 __other => ::std::result::Result::Err(\
-                                 ::serde::Error(::std::format!(\
-                                 \"unknown unit variant `{{__other}}` for {name}\"))),\n\
-                             }},\n\
-                             ::serde::Value::Map(__m) if __m.len() == 1 => {{\n\
-                                 let (__k, __val) = &__m[0];\n\
-                                 match __k.as_str() {{\n\
-                                     {}\n\
-                                     __other => ::std::result::Result::Err(\
-                                     ::serde::Error(::std::format!(\
-                                     \"unknown variant `{{__other}}` for {name}\"))),\n\
-                                 }}\n\
-                             }}\n\
-                             _ => ::std::result::Result::Err(::serde::Error::msg(\
-                             \"expected string or single-key object for enum {name}\")),\n\
-                         }}\n\
-                     }}\n\
-                 }}",
-                unit_arms.join("\n"),
-                data_arms.join("\n")
-            )
-        }
-    }
 }

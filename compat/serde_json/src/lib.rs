@@ -3,13 +3,18 @@
 //! Provides the three entry points this repository uses — [`to_string`],
 //! [`to_string_pretty`], [`from_str`]. Rendering streams through
 //! [`serde::Writer`] into a `String`; parsing builds the owned
-//! [`serde::Value`] tree that [`Deserialize`] impls read.
+//! [`serde::Value`] tree, which callers read field by field. Nothing
+//! decodes JSON into a typed value.
 
 #![forbid(unsafe_code)]
 
 pub use serde::Error;
 pub use serde::Value;
-use serde::{Deserialize, Serialize, Writer};
+use serde::{Serialize, Writer};
+
+/// How deep arrays and objects may nest before [`from_str`] gives up with
+/// an error instead of recursing further: upstream serde_json's limit.
+const MAX_DEPTH: usize = 128;
 
 /// Render a serializable value as compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -29,11 +34,14 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parse JSON text and rebuild a deserializable value.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+/// Parse JSON text into a [`Value`] tree. Input that is not one complete
+/// JSON value, or that nests arrays and objects more than 128 deep, is an
+/// error naming the byte offset where parsing stopped.
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -41,7 +49,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     if p.pos != p.bytes.len() {
         return Err(Error(format!("trailing characters at byte {}", p.pos)));
     }
-    T::from_value(&v)
+    Ok(v)
 }
 
 // ----------------------------------------------------------------------
@@ -51,6 +59,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -87,8 +97,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Value::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             other => Err(Error(format!(
                 "unexpected input {other:?} at byte {}",
@@ -252,31 +276,92 @@ impl<'a> Parser<'a> {
 mod tests {
     use super::*;
 
+    fn map(entries: &[(&str, Value)]) -> Value {
+        Value::Map(
+            entries
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
+
+    /// Render `value`, parse the text back and check it gives `want` and
+    /// re-renders to the same text.
+    fn roundtrip<T: Serialize + ?Sized>(value: &T, want: Value) {
+        let text = to_string(value).unwrap();
+        let back = from_str(&text).unwrap();
+        assert_eq!(back, want, "{text}");
+        assert_eq!(to_string(&back).unwrap(), text);
+    }
+
     #[test]
     fn roundtrip_primitives() {
-        assert_eq!(from_str::<u32>(&to_string(&7u32).unwrap()).unwrap(), 7);
-        assert_eq!(from_str::<i64>(&to_string(&-3i64).unwrap()).unwrap(), -3);
-        assert!(from_str::<bool>(&to_string(&true).unwrap()).unwrap());
-        assert_eq!(from_str::<String>(&to_string("hi").unwrap()).unwrap(), "hi");
-        assert_eq!(
-            from_str::<Option<u8>>(&to_string(&Option::<u8>::None).unwrap()).unwrap(),
-            None
+        roundtrip(&7u32, Value::U64(7));
+        roundtrip(&u64::MAX, Value::U64(u64::MAX));
+        roundtrip(&-3i64, Value::I64(-3));
+        roundtrip(&-0.5f64, Value::F64(-0.5));
+        roundtrip(&true, Value::Bool(true));
+        roundtrip("hi", Value::Str("hi".into()));
+        roundtrip(&Option::<u8>::None, Value::Null);
+        roundtrip(
+            &vec![1u8, 2, 3],
+            Value::Seq(vec![Value::U64(1), Value::U64(2), Value::U64(3)]),
         );
-        assert_eq!(
-            from_str::<Vec<u8>>(&to_string(&vec![1u8, 2, 3]).unwrap()).unwrap(),
-            vec![1, 2, 3]
-        );
+        roundtrip(&Vec::<u8>::new(), Value::Seq(vec![]));
+        for (text, want) in [
+            (" false ", Value::Bool(false)),
+            ("1e3", Value::F64(1000.0)),
+            ("{}", Value::Map(vec![])),
+        ] {
+            assert_eq!(from_str(text).unwrap(), want, "{text}");
+        }
     }
 
     #[test]
     fn roundtrip_vec_of_tuples() {
-        let v = vec![
-            (1u64, "a".to_string(), true),
-            (2, "b\"x".to_string(), false),
+        let row = |n: u64, s: &str, b: bool| {
+            Value::Seq(vec![Value::U64(n), Value::Str(s.into()), Value::Bool(b)])
+        };
+        roundtrip(
+            &vec![
+                (1u64, "a".to_string(), true),
+                (2, "b\"x".to_string(), false),
+            ],
+            Value::Seq(vec![row(1, "a", true), row(2, "b\"x", false)]),
+        );
+    }
+
+    #[test]
+    fn parses_escapes_and_nesting() {
+        let cases = [
+            (
+                r#"[null, "a\nb", "A"]"#,
+                Value::Seq(vec![
+                    Value::Null,
+                    Value::Str("a\nb".into()),
+                    Value::Str("A".into()),
+                ]),
+            ),
+            (r#""a\nb\"\\\/\u00e9""#, Value::Str("a\nb\"\\/é".into())),
+            (
+                r#"[null, "a\nb", [1, [2]]]"#,
+                Value::Seq(vec![
+                    Value::Null,
+                    Value::Str("a\nb".into()),
+                    Value::Seq(vec![Value::U64(1), Value::Seq(vec![Value::U64(2)])]),
+                ]),
+            ),
+            (
+                r#"{ "b": {"x": []}, "a": -1 }"#,
+                map(&[
+                    ("b", map(&[("x", Value::Seq(vec![]))])),
+                    ("a", Value::I64(-1)),
+                ]),
+            ),
         ];
-        let text = to_string(&v).unwrap();
-        let back: Vec<(u64, String, bool)> = from_str(&text).unwrap();
-        assert_eq!(back, v);
+        for (text, want) in cases {
+            assert_eq!(from_str(text).unwrap(), want, "{text}");
+        }
     }
 
     #[test]
@@ -287,22 +372,23 @@ mod tests {
     }
 
     #[test]
-    fn parses_escapes_and_nesting() {
-        let v: Vec<Option<String>> = from_str(r#"[null, "a\nb", "A"]"#).unwrap();
-        assert_eq!(
-            v,
-            vec![None, Some("a\nb".to_string()), Some("A".to_string())]
-        );
-    }
-
-    #[test]
     fn rejects_trailing_garbage() {
-        assert!(from_str::<bool>("true x").is_err());
+        assert!(from_str("true x").is_err());
     }
 
     #[test]
     fn float_keeps_decimal_point() {
         let text = to_string(&1.0f64).unwrap();
         assert_eq!(text, "1.0");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(from_str(&"[".repeat(100_000)).is_err());
+        assert!(from_str(&"{\"k\":".repeat(100_000)).is_err());
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
     }
 }

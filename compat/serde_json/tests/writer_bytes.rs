@@ -1,7 +1,8 @@
 //! Byte-identity pins for the JSON writer: every shape the derive macros
 //! emit and every primitive rule (float `.0`, NaN → `null`, escapes, sorted
 //! `HashMap` keys, empty containers in pretty mode), in compact and pretty
-//! form, plus a parse-and-re-render check through `Value`.
+//! form, plus a parse-and-re-render check through `Value` and a check that
+//! no truncated document parses.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Duration;
@@ -285,6 +286,16 @@ const DOC_PRETTY: &str = r#"{
 #[test]
 fn nested_document() {
     check(&doc(), DOC_COMPACT, DOC_PRETTY);
+}
+
+#[test]
+fn every_strict_prefix_of_a_document_is_an_error() {
+    for end in (0..DOC_COMPACT.len()).filter(|&i| DOC_COMPACT.is_char_boundary(i)) {
+        assert!(
+            from_str(&DOC_COMPACT[..end]).is_err(),
+            "prefix of {end} bytes parsed"
+        );
+    }
 }
 
 #[test]

@@ -217,5 +217,7 @@ fn main() {
     if let Some(b) = a.peak_rss_bytes {
         fields.push(("peak_rss_bytes".to_string(), Value::U64(b)));
     }
-    cnv_bench::append_trend("fleet_scaling", fields).expect("append BENCH_trend.json");
+    let trend = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trend.json");
+    cnv_bench::append_trend(trend.as_ref(), "fleet_scaling", fields)
+        .expect("append BENCH_trend.json");
 }

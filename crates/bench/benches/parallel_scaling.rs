@@ -212,7 +212,9 @@ fn main() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     std::fs::write(path, text + "\n").expect("write BENCH_parallel.json");
 
+    let trend = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trend.json");
     cnv_bench::append_trend(
+        trend.as_ref(),
         "parallel_scaling",
         vec![
             (

@@ -302,32 +302,38 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Append one entry to the longitudinal `BENCH_trend.json` at the
-/// workspace root (creating the file on first use) and return the total
-/// entry count. Unlike the per-bench baselines, which each rewrite a
-/// snapshot of "this machine, now", the trend file only ever grows: one
-/// entry per baseline regeneration, so the perf trajectory across PRs
-/// stays machine-readable. `bench` names the producer; `fields` carries
-/// its headline numbers (throughput, bytes/state, kernel stats, ...).
+/// Append one entry to the longitudinal trend file at `path` (the
+/// baseline writers pass the workspace root's `BENCH_trend.json`) and
+/// return the total entry count. Unlike the per-bench baselines, which
+/// each rewrite a snapshot of "this machine, now", the trend file only
+/// ever grows: one entry per baseline regeneration, so the perf trajectory
+/// across PRs stays machine-readable. `bench` names the producer; `fields`
+/// carries its headline numbers (throughput, bytes/state, kernel stats,
+/// ...).
+///
+/// Only a missing file starts a fresh trend. A file that cannot be read,
+/// does not parse, or holds no `entries` array is an error naming `path`,
+/// and the file is left as it was.
 pub fn append_trend(
+    path: &std::path::Path,
     bench: &str,
     fields: Vec<(String, serde_json::Value)>,
 ) -> std::io::Result<usize> {
     use serde_json::Value;
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trend.json");
-    let mut entries: Vec<Value> = match std::fs::read_to_string(path) {
-        Ok(text) => match serde_json::from_str::<Value>(&text) {
-            Ok(Value::Map(doc)) => doc
-                .into_iter()
-                .find(|(k, _)| k == "entries")
-                .and_then(|(_, v)| match v {
-                    Value::Seq(s) => Some(s),
-                    _ => None,
-                })
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        },
-        Err(_) => Vec::new(),
+    use std::io::{Error, ErrorKind};
+    let invalid =
+        |why: &str| Error::new(ErrorKind::InvalidData, format!("{}: {why}", path.display()));
+    let mut entries = match std::fs::read_to_string(path) {
+        Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(Error::new(e.kind(), format!("{}: {e}", path.display()))),
+        Ok(text) => match serde_json::from_str(&text).map_err(|e| invalid(&e.to_string()))? {
+            Value::Map(doc) => doc.into_iter().find_map(|(k, v)| match v {
+                Value::Seq(entries) if k == "entries" => Some(entries),
+                _ => None,
+            }),
+            _ => None,
+        }
+        .ok_or_else(|| invalid("no `entries` array"))?,
     };
     let tag = std::env::var("BENCH_TREND_TAG").unwrap_or_else(|_| "untagged".into());
     let mut entry = vec![
@@ -421,5 +427,59 @@ mod tests {
         let m1 = series_stats(&s1).median_s;
         let m2 = series_stats(&s2).median_s;
         assert!(m2 > m1, "OP-II median {m2} must exceed OP-I {m1}");
+    }
+
+    /// A fresh directory under the system temp dir, removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("cnv-bench-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).expect("create the temp dir");
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    #[test]
+    fn append_trend_starts_a_missing_file_with_one_entry() {
+        let dir = TempDir::new("missing-trend");
+        let path = dir.0.join("BENCH_trend.json");
+        let fields = vec![("x".into(), serde_json::Value::U64(1))];
+        let n = append_trend(&path, "probe", fields).expect("a missing file starts a trend");
+        assert_eq!(n, 1);
+        let text = std::fs::read_to_string(&path).expect("the trend was written");
+        assert!(text.contains(r#""bench": "probe""#), "{text}");
+        assert!(text.contains(r#""seq": 0"#), "{text}");
+    }
+
+    #[test]
+    fn append_trend_refuses_a_file_it_cannot_read_and_leaves_it_untouched() {
+        let dir = TempDir::new("corrupt-trend");
+        let path = dir.0.join("BENCH_trend.json");
+        for garbage in ["not json", r#"{"entries": [{"#, "[]", r#"{"entries": 3}"#] {
+            std::fs::write(&path, garbage).expect("write the trend file");
+            let err = append_trend(&path, "probe", vec![]).expect_err(garbage);
+            assert!(
+                err.to_string().starts_with(&path.display().to_string()),
+                "{err}"
+            );
+            assert_eq!(
+                std::fs::read_to_string(&path).expect("read it back"),
+                garbage
+            );
+        }
+        // A directory where the file should be cannot be read at all.
+        let err = append_trend(&dir.0, "probe", vec![]).expect_err("a directory");
+        assert!(
+            err.to_string().starts_with(&dir.0.display().to_string()),
+            "{err}"
+        );
     }
 }

@@ -7,10 +7,10 @@
 //! 30 error causes ... defined in the 4G attach procedure" whose
 //! combinations the screening phase enumerates.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Who may originate a signaling event (paper Table 3 "Originator").
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Originator {
     /// Only the user device.
     Device,
@@ -21,7 +21,7 @@ pub enum Originator {
 }
 
 /// Why a 3G PDP context is deactivated (paper Table 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum PdpDeactivationCause {
     /// The device cannot sustain the reservation.
     InsufficientResources,
@@ -94,7 +94,7 @@ impl PdpDeactivationCause {
 }
 
 /// EMM (4G mobility management) causes relevant to the findings.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum EmmCause {
     /// "Implicitly detached" — sent on a TAU the MME believes comes from an
     /// unattached (or half-attached) device. Drives S2 and S6 (OP-I).
@@ -127,7 +127,7 @@ impl EmmCause {
 /// error causes are defined in the 4G attach procedure" and enumerates all
 /// reject options during screening; this list (EMM cause values from Annex A)
 /// is what the scenario sampler draws from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 #[allow(missing_docs)] // names are the 3GPP cause names
 pub enum AttachRejectCause {
     ImsiUnknownInHss,
@@ -220,7 +220,7 @@ impl AttachRejectCause {
 }
 
 /// MM (3G CS mobility management) causes relevant to S4/S6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum MmCause {
     /// Location-update failure during CSFB (propagated to 4G in S6).
     LocationUpdateFailure,

@@ -7,12 +7,10 @@
 //! *upstream* of CC (in MM), but CC's timestamps are where the paper
 //! measures it (Figure 7's call setup time).
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::NasMessage;
 
 /// Device-side call-control states (TS 24.008 §5.1, reduced).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CcState {
     /// No call.
     Null,
@@ -34,7 +32,7 @@ pub enum CcState {
 }
 
 /// Inputs to the device-side CC machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CcInput {
     /// User dials an outgoing call.
     Dial,
@@ -51,7 +49,7 @@ pub enum CcInput {
 }
 
 /// Outputs of the device-side CC machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum CcOutput {
     /// Ask MM for a signaling connection (this is what S4 delays).
     RequestMmConnection,
@@ -68,7 +66,7 @@ pub enum CcOutput {
 }
 
 /// Device-side CC machine for a single call.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CcDevice {
     /// Current state.
     pub state: CcState,
@@ -164,7 +162,7 @@ impl Default for CcDevice {
 }
 
 /// MSC-side call handling: answers Setup with the full progress sequence.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MscCc {
     /// A call is established for the device.
     pub call_active: bool,

@@ -7,13 +7,11 @@
 //! etc. remains the same before and after the switching", §5.1.1) — the S1
 //! defect is precisely this shared state being deleted on one side.
 
-use serde::{Deserialize, Serialize};
-
 use crate::causes::PdpDeactivationCause;
 
 /// Quality-of-service parameters carried by both context kinds. A small
 /// abstraction of the 3GPP QoS IEs: only the fields the findings depend on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QosProfile {
     /// Maximum downlink bit rate, kbit/s.
     pub max_dl_kbps: u32,
@@ -45,7 +43,7 @@ impl QosProfile {
 }
 
 /// An IPv4 address, kept as a plain u32 so contexts stay `Copy + Hash`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct IpAddr(pub u32);
 
 impl std::fmt::Display for IpAddr {
@@ -56,7 +54,7 @@ impl std::fmt::Display for IpAddr {
 }
 
 /// Activation state of a session context.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ContextState {
     /// No context established.
     Inactive,
@@ -69,7 +67,7 @@ pub enum ContextState {
 }
 
 /// The 3G PDP (Packet Data Protocol) context.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PdpContext {
     /// Network service access point identifier.
     pub nsapi: u8,
@@ -82,7 +80,7 @@ pub struct PdpContext {
 }
 
 /// The 4G EPS bearer context.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct EpsBearerContext {
     /// EPS bearer identity.
     pub ebi: u8,
@@ -188,7 +186,7 @@ impl EpsBearerContext {
 }
 
 /// What happened to a PDP context on a deactivation request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DeactivationOutcome {
     /// Deleted (default standards behaviour — feeds S1).
     Deleted,

@@ -6,14 +6,12 @@
 //! 3G location updates per call. This module tracks the phase machine of a
 //! single CSFB call and enumerates the signaling obligations of each phase.
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::SwitchMechanism;
 use crate::types::RatSystem;
 
 /// Phases of a CSFB call (§5.1.1 second usage setting; §6.3 for the two
 /// location updates).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CsfbPhase {
     /// Device camped in 4G, no call.
     Idle4g,
@@ -33,7 +31,7 @@ pub enum CsfbPhase {
 }
 
 /// The per-call CSFB tracker.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CsfbCall {
     /// Current phase.
     pub phase: CsfbPhase,
@@ -124,7 +122,7 @@ impl CsfbCall {
 /// * `WaitsForRrcIdle` — OP-II-style cell reselection (waits for the data
 ///   session to drain; the "stuck in 3G" outcome),
 /// * `HandoverNow` — inter-system handover (needs DCH; preserves data).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReturnBehavior {
     /// The device returns within seconds; any data session is disrupted.
     ReturnsImmediately,

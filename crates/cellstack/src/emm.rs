@@ -18,8 +18,6 @@
 //!   [`MmeEmm::forward_lu_failure`] flag is that practice; the §8 remedy
 //!   clears it and recovers inside the core.
 
-use serde::{Deserialize, Serialize};
-
 use crate::causes::{AttachRejectCause, EmmCause, MmCause};
 use crate::context::{EpsBearerContext, IpAddr, PdpContext, QosProfile};
 use crate::msg::{NasMessage, UpdateKind};
@@ -28,7 +26,7 @@ use crate::types::{RatSystem, Registration};
 
 /// Device-side EMM states (TS 24.301 §5.1.3, reduced to the procedures the
 /// paper exercises).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EmmDeviceState {
     /// Not registered — the paper's "out of service" in 4G.
     Deregistered,
@@ -43,7 +41,7 @@ pub enum EmmDeviceState {
 }
 
 /// Inputs to the device-side EMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EmmDeviceInput {
     /// Power-on / user-initiated attach to 4G.
     AttachTrigger,
@@ -68,7 +66,7 @@ pub enum EmmDeviceInput {
 }
 
 /// Outputs of the device-side EMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EmmDeviceOutput {
     /// Send a NAS message to the MME (over RRC — may be lost, §5.2).
     Send(NasMessage),
@@ -89,7 +87,7 @@ pub enum EmmDeviceOutput {
 }
 
 /// Device-side EMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EmmDevice {
     /// Current EMM state.
     pub state: EmmDeviceState,
@@ -428,7 +426,7 @@ impl Default for EmmDevice {
 }
 
 /// MME-side per-UE EMM states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MmeUeState {
     /// UE unknown / detached.
     Deregistered,
@@ -440,7 +438,7 @@ pub enum MmeUeState {
 }
 
 /// Inputs to the MME-side machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MmeInput {
     /// Uplink NAS from the device.
     Uplink(NasMessage),
@@ -455,7 +453,7 @@ pub enum MmeInput {
 }
 
 /// Outputs of the MME-side machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MmeOutput {
     /// Send a NAS message down to the device.
     Send(NasMessage),
@@ -471,7 +469,7 @@ pub enum MmeOutput {
 /// How the MME disposes of a duplicate attach request received while the UE
 /// is registered (both outcomes are allowed by TS 24.301 — "two outcomes are
 /// possible", §5.2.1 — so the checker explores both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DuplicateAttachPolicy {
     /// Reprocess and accept: bearer torn down and rebuilt (service gap).
     ReprocessAccept,
@@ -480,7 +478,7 @@ pub enum DuplicateAttachPolicy {
 }
 
 /// MME-side EMM machine for a single UE.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MmeEmm {
     /// Current per-UE state.
     pub state: MmeUeState,

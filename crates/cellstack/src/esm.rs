@@ -7,14 +7,12 @@
 //! device should immediately activate EPS bearer after inter-system 3G→4G
 //! switching") and bearer deactivation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::context::{EpsBearerContext, IpAddr, QosProfile};
 use crate::msg::NasMessage;
 use crate::types::RatSystem;
 
 /// Device-side ESM states (per default bearer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EsmDeviceState {
     /// No bearer.
     Inactive,
@@ -25,7 +23,7 @@ pub enum EsmDeviceState {
 }
 
 /// Inputs to the device-side ESM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EsmDeviceInput {
     /// Request a (re)activation of the default bearer (S1 remedy path).
     ActivateRequest,
@@ -41,7 +39,7 @@ pub enum EsmDeviceInput {
 }
 
 /// Outputs of the device-side ESM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EsmDeviceOutput {
     /// Send a NAS message to the MME.
     Send(NasMessage),
@@ -55,7 +53,7 @@ pub enum EsmDeviceOutput {
 }
 
 /// Device-side ESM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EsmDevice {
     /// Current state.
     pub state: EsmDeviceState,
@@ -179,7 +177,7 @@ impl Default for EsmDevice {
 
 /// MME-side standalone ESM handling: answers bearer (re)activation requests
 /// from registered UEs.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MmeEsm {
     /// Accept standalone activations only when the UE is registered; the
     /// EMM layer keeps this in sync.

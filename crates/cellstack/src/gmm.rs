@@ -8,12 +8,10 @@
 //! process RRC related functions, whereas MM has to"), which is why the
 //! paper measures a slightly smaller impact on PS.
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::{NasMessage, UpdateKind};
 
 /// Device-side GMM states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GmmDeviceState {
     /// Not PS-attached.
     Deregistered,
@@ -26,7 +24,7 @@ pub enum GmmDeviceState {
 }
 
 /// Inputs to the device-side GMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GmmDeviceInput {
     /// Attach to the 3G PS domain.
     AttachTrigger,
@@ -42,7 +40,7 @@ pub enum GmmDeviceInput {
 }
 
 /// Outputs of the device-side GMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum GmmDeviceOutput {
     /// Send a NAS message to the 3G gateways.
     Send(NasMessage),
@@ -58,7 +56,7 @@ pub enum GmmDeviceOutput {
 }
 
 /// Device-side GMM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GmmDevice {
     /// Current state.
     pub state: GmmDeviceState,
@@ -215,7 +213,7 @@ impl Default for GmmDevice {
 
 /// 3G-gateway-side GMM handling (SGSN role): accepts attaches and
 /// routing-area updates.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SgsnGmm {
     /// The device is PS-attached.
     pub attached: bool,

@@ -15,13 +15,11 @@
 //!   23.272) and the network-initiated one when switching back. Their race
 //!   produces the failure the MSC relays to the MME.
 
-use serde::{Deserialize, Serialize};
-
 use crate::causes::MmCause;
 use crate::msg::{NasMessage, UpdateKind};
 
 /// Device-side MM states (TS 24.008 §4.1.2.1, reduced).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MmDeviceState {
     /// Idle, registered for CS service.
     Idle,
@@ -37,7 +35,7 @@ pub enum MmDeviceState {
 }
 
 /// Inputs to the device-side MM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MmDeviceInput {
     /// A trigger from Table 4 fired: start a location-area update.
     LocationUpdateTrigger,
@@ -56,7 +54,7 @@ pub enum MmDeviceInput {
 }
 
 /// Outputs of the device-side MM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MmDeviceOutput {
     /// Send a NAS message to the MSC.
     Send(NasMessage),
@@ -74,7 +72,7 @@ pub enum MmDeviceOutput {
 }
 
 /// Device-side MM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MmDevice {
     /// Current state.
     pub state: MmDeviceState,
@@ -266,7 +264,7 @@ impl Default for MmDevice {
 /// The MSC accepts location updates and CM service requests; for S6 it also
 /// models the interaction with a *relayed* update coming from the MME (the
 /// network-side update after a CSFB call returns to 4G).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MscMm {
     /// The device has a current location registration.
     pub location_known: bool,
@@ -278,7 +276,7 @@ pub struct MscMm {
 }
 
 /// Inputs to the MSC-side machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MscInput {
     /// Uplink NAS from the device.
     Uplink(NasMessage),
@@ -291,7 +289,7 @@ pub enum MscInput {
 }
 
 /// Outputs of the MSC-side machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MscOutput {
     /// Send a NAS message to the device.
     Send(NasMessage),

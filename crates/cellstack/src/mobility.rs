@@ -4,13 +4,11 @@
 //! [`DeviceStack::switch_4g_to_3g`](crate::stack::DeviceStack::switch_4g_to_3g)
 //! and [`DeviceStack::switch_3g_to_4g`](crate::stack::DeviceStack::switch_3g_to_4g).
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::UpdateKind;
 
 /// The scenarios that trigger a location/routing area update (paper
 /// Table 4).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateTrigger {
     /// 1 — device crossed a location-area boundary.
     CrossLocationArea,

@@ -11,7 +11,7 @@
 //! The enums are deliberately exhaustive over the procedures the paper's six
 //! instances exercise rather than over all of TS 24.008/24.301.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::causes::{AttachRejectCause, EmmCause, MmCause, PdpDeactivationCause};
 use crate::types::{Domain, MsgClass, RatSystem};
@@ -20,7 +20,7 @@ use crate::types::{Domain, MsgClass, RatSystem};
 ///
 /// 3G CS uses *location area* updates via MSC, 3G PS *routing area* updates
 /// via the 3G gateways, 4G *tracking area* updates via MME (§2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum UpdateKind {
     /// 3G CS location area update (MM ↔ MSC).
     LocationArea,
@@ -42,7 +42,7 @@ impl UpdateKind {
 }
 
 /// Non-access-stratum signaling.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum NasMessage {
     // ---- Attach / detach (MM / GMM / EMM) ----
     /// Device → core: request registration (EMM/GMM/MM attach).
@@ -220,7 +220,7 @@ impl NasMessage {
 /// The inter-system switch mechanisms of Figure 6(a). Which one a carrier
 /// uses is an operator policy choice — the S3 divergence between OP-I and
 /// OP-II is exactly this choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SwitchMechanism {
     /// "RRC connection release with redirect": starts from a non-IDLE RRC
     /// state, forces a release, disrupts ongoing data (OP-I's choice).
@@ -243,7 +243,7 @@ impl SwitchMechanism {
 }
 
 /// Access-stratum (RRC) signaling between device and base station.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RrcMessage {
     /// Device → BS: request an RRC connection.
     ConnectionRequest,

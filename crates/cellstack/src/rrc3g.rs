@@ -15,12 +15,10 @@
 //!   scheme for both domains; when a CS call is active carriers disable
 //!   64QAM so voice gets a robust scheme, collapsing PS throughput.
 
-use serde::{Deserialize, Serialize};
-
 use crate::msg::SwitchMechanism;
 
 /// 3G RRC states (paper Figure 6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rrc3gState {
     /// No RRC connection.
     Idle,
@@ -40,7 +38,7 @@ impl Rrc3gState {
 /// Modulation schemes selectable on the 3G downlink shared channel.
 /// Rates follow HSPA: 64QAM ≈ 21 Mbps theoretical downlink, 16QAM ≈ 11 Mbps
 /// (the figures quoted in §6.2 around Figure 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Modulation {
     /// Most robust, lowest rate.
     Qpsk,
@@ -71,7 +69,7 @@ impl Modulation {
 }
 
 /// Inputs to the 3G RRC state machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rrc3gEvent {
     /// A CS call starts (CSFB arrival or MO/MT call). Voice always takes a
     /// dedicated channel: forces `CELL_DCH`.
@@ -95,7 +93,7 @@ pub enum Rrc3gEvent {
 }
 
 /// Side effects the 3G RRC machine asks its environment to perform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rrc3gOutput {
     /// A new RRC connection was established.
     ConnectionEstablished,
@@ -106,7 +104,7 @@ pub enum Rrc3gOutput {
 }
 
 /// Device-side 3G RRC machine with the domain flags that couple CS and PS.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Rrc3g {
     /// Current RRC state.
     pub state: Rrc3gState,

@@ -6,13 +6,11 @@
 //! with redirect and the handover command — the Figure 3 flow that starts a
 //! 4G→3G switch.
 
-use serde::{Deserialize, Serialize};
-
 use crate::types::RatSystem;
 
 /// Reception mode inside `CONNECTED`, stepping down with inactivity for
 /// energy efficiency.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DrxMode {
     /// Continuous reception — fully active.
     Continuous,
@@ -23,7 +21,7 @@ pub enum DrxMode {
 }
 
 /// 4G RRC states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rrc4gState {
     /// No RRC connection.
     Idle,
@@ -39,7 +37,7 @@ impl Rrc4gState {
 }
 
 /// Inputs to the 4G RRC machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rrc4gEvent {
     /// Uplink/downlink activity (data or signaling) needs the connection.
     Activity,
@@ -59,7 +57,7 @@ pub enum Rrc4gEvent {
 }
 
 /// Side effects of the 4G RRC machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Rrc4gOutput {
     /// Connection established.
     ConnectionEstablished,
@@ -77,7 +75,7 @@ pub enum Rrc4gOutput {
 }
 
 /// Device-side 4G RRC machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Rrc4g {
     /// Current state.
     pub state: Rrc4gState,

@@ -6,15 +6,13 @@
 //! mandatory EPS bearer that produces S1. Deactivation can be initiated by
 //! either side with the Table 3 causes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::causes::PdpDeactivationCause;
 use crate::context::{IpAddr, PdpContext, QosProfile};
 use crate::msg::NasMessage;
 use crate::types::RatSystem;
 
 /// Device-side SM states (per primary PDP context).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SmDeviceState {
     /// No PDP context.
     Inactive,
@@ -27,7 +25,7 @@ pub enum SmDeviceState {
 }
 
 /// Inputs to the device-side SM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SmDeviceInput {
     /// Upper layer wants PS data (GMM has confirmed readiness).
     ActivateRequest,
@@ -39,7 +37,7 @@ pub enum SmDeviceInput {
 }
 
 /// Outputs of the device-side SM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SmDeviceOutput {
     /// Send a NAS message to the gateways.
     Send(NasMessage),
@@ -51,7 +49,7 @@ pub enum SmDeviceOutput {
 }
 
 /// Device-side SM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SmDevice {
     /// Current state.
     pub state: SmDeviceState,
@@ -149,7 +147,7 @@ impl Default for SmDevice {
 }
 
 /// Gateway-side SM handling (3G gateways / SGSN-GGSN collapsed).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SgsnSm {
     /// The gateway's copy of the PDP context.
     pub context: Option<PdpContext>,
@@ -158,7 +156,7 @@ pub struct SgsnSm {
 }
 
 /// Outputs of the gateway-side SM machine.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SgsnSmOutput {
     /// Reply to the device.
     Send(NasMessage),

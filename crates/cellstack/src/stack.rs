@@ -8,8 +8,6 @@
 //! the same composition is explored exhaustively by the `mck` checker and
 //! executed under time by `netsim`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::causes::PdpDeactivationCause;
 use crate::cm::{CcDevice, CcInput, CcOutput};
 use crate::emm::{EmmDevice, EmmDeviceInput, EmmDeviceOutput};
@@ -25,7 +23,7 @@ use crate::types::{Domain, Protocol, RatSystem, Registration};
 
 /// Events the stack reports to its environment (simulator or checker
 /// harness). Events are *transient* — they are not part of the hashed state.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum StackEvent {
     /// Send a NAS message uplink (the environment routes it over RRC to the
     /// right network element).
@@ -66,7 +64,7 @@ pub enum StackEvent {
 }
 
 /// The composed device stack.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DeviceStack {
     /// The system currently camped on. Phones use "at most one network at a
     /// time" (§3.2.1).

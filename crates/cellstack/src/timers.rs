@@ -22,14 +22,12 @@
 //! | T3417 | Service request / bearer activation | retransmit the request |
 //! | T3430 | Tracking-area update | retransmit the TAU, bounded |
 
-use serde::{Deserialize, Serialize};
-
 /// Retry ceiling shared by the NAS procedures modeled here: TS 24.301 caps
 /// the attach and TAU attempt counters at 5.
 pub const MAX_NAS_RETRIES: u8 = 5;
 
 /// The NAS retransmission timers modeled by this crate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NasTimer {
     /// Attach procedure supervision (15 s): armed with every Attach Request.
     T3410,

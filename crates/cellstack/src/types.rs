@@ -1,9 +1,9 @@
 //! Foundational identifiers and enumerations shared by every protocol model.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Radio access technology / system generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum RatSystem {
     /// 3G UMTS (UTRAN). Supports both CS and PS domains.
     Utran3g,
@@ -36,7 +36,7 @@ impl std::fmt::Display for RatSystem {
 }
 
 /// Switching domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// Circuit-switched (voice in 3G).
     Cs,
@@ -54,7 +54,7 @@ impl std::fmt::Display for Domain {
 }
 
 /// The control-plane protocols studied by the paper (its Table 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Protocol {
     /// 3G CS connectivity management / call control (TS 24.008), at MSC.
     CmCc,
@@ -134,7 +134,7 @@ impl std::fmt::Display for Protocol {
 }
 
 /// The three control-plane sub-layers (paper Figure 1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Sublayer {
     /// CM / SM / ESM — creating and mandating voice calls and data sessions.
     ConnectivityManagement,
@@ -145,7 +145,7 @@ pub enum Sublayer {
 }
 
 /// The interaction dimension an issue spans (paper §1).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Dimension {
     /// Between layers of one protocol stack.
     CrossLayer,
@@ -167,7 +167,7 @@ impl std::fmt::Display for Dimension {
 
 /// Whether a finding stems from the standards or from carrier practice
 /// (paper Table 1 "Type" column).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum IssueKind {
     /// Rooted in the 3GPP standards; needs a standards revision.
     Design,
@@ -190,7 +190,7 @@ impl std::fmt::Display for IssueKind {
 /// than individual message variants: "drop all attach signaling on the 4G
 /// downlink" is the granularity at which the paper's loss scenarios (S2's
 /// lost Attach Complete, S6's relayed update failures) are expressed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MsgClass {
     /// Attach / detach registration signaling (MM / GMM / EMM).
     Attach,
@@ -218,7 +218,7 @@ impl std::fmt::Display for MsgClass {
 
 /// Registration status of a device with a network, the device-visible
 /// outcome the paper's properties talk about.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Registration {
     /// Attached; services available.
     Registered,

@@ -2,14 +2,14 @@
 //! plus the beyond-paper 5G NR / NSA candidates S7–S10 surfaced by the
 //! timing-lattice sweep (`--exp fivegs`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use cellstack::{Dimension, IssueKind, Protocol};
 
 /// The six problematic-interaction instances of the paper, plus the
 /// repository's 5G NR / NSA candidate instances S7–S10 (kept out of
 /// [`Instance::ALL`] so every Table-1 artifact stays byte-identical).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Instance {
     /// Out-of-service during 3G→4G switching (unprotected shared context).
     S1,
@@ -214,7 +214,7 @@ impl std::fmt::Display for Instance {
 }
 
 /// The two problem classes of §4.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Category {
     /// "Necessary but problematic cooperations."
     NecessaryButProblematic,
@@ -234,7 +234,7 @@ impl std::fmt::Display for Category {
 }
 
 /// Which tool phase discovered an instance.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Model-checking screening (§3.2).
     Screening,
@@ -243,7 +243,7 @@ pub enum Phase {
 }
 
 /// A concrete finding produced by the tool: an instance plus its witness.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Finding {
     /// Which instance.
     pub instance: Instance,

@@ -6,12 +6,11 @@
 //! and the interaction dimension each lesson addresses.
 
 use cellstack::Dimension;
-use serde::{Deserialize, Serialize};
 
 use crate::findings::Instance;
 
 /// One of the paper's numbered insights.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Insight {
     /// Insight number (1–6), matching the paper's order.
     pub number: u8,
@@ -68,7 +67,7 @@ pub const INSIGHTS: [Insight; 6] = [
 ];
 
 /// One of the §11 closing lessons, each addressing one dimension.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lesson {
     /// The dimension the lesson covers.
     pub dimension: Dimension,

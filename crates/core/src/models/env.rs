@@ -7,8 +7,6 @@
 //! stack before the next model action runs. The environment is plain data
 //! so it can live inside a checker state.
 
-use serde::{Deserialize, Serialize};
-
 use cellstack::cm::MscCc;
 use cellstack::emm::{MmeEmm, MmeInput, MmeOutput};
 use cellstack::esm::MmeEsm;
@@ -18,7 +16,7 @@ use cellstack::sm::{SgsnSm, SgsnSmOutput};
 use cellstack::{DeviceStack, Domain, NasMessage, RatSystem, Registration, StackEvent};
 
 /// The carrier side, answering synchronously.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SyncNet {
     /// MSC mobility handling.
     pub msc_mm: MscMm,
@@ -35,7 +33,7 @@ pub struct SyncNet {
 }
 
 /// Facts observed while settling an exchange (fed into property state).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Observations {
     /// The device reported being registered at some point.
     pub registered: bool,

@@ -23,13 +23,13 @@ use monitor::{
     compile_witness, hand_signature, run_signature, MatchedEvent, MonitorReport, Verdict,
 };
 use netsim::{op_i, op_ii, Ev, Injection, OperatorProfile, SimTime, World, WorldConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::findings::Instance;
 use crate::screening::{run_screening_deterministic, ScreeningReport};
 
 /// The outcome of validating one instance on one carrier.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ValidationOutcome {
     /// Which instance was validated.
     pub instance: Instance,
@@ -382,7 +382,7 @@ pub fn validate_s6(op: OperatorProfile, seed: u64) -> ValidationOutcome {
 }
 
 /// How [`diagnose`] classifies one instance after both phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub enum DefectClass {
     /// Confirmed on both carriers and predicted by a screening
     /// counterexample: the protocols themselves are wrong (Table 1 "design
@@ -407,7 +407,7 @@ impl std::fmt::Display for DefectClass {
 }
 
 /// The two-phase diagnosis of one instance.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct Diagnosis {
     /// Which instance.
     pub instance: Instance,

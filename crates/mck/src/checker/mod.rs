@@ -278,9 +278,9 @@ impl<M: Model> Checker<M> {
     }
 
     /// Spill the BFS frontier to disk in segments of `segment_nodes`,
-    /// keeping at most two segments resident (see the
-    /// [`frontier`](crate::frontier) module docs for the format). Requires a
-    /// componentized model; ignored otherwise, and by DFS/parallel engines.
+    /// keeping at most two segments resident (see the `frontier` module
+    /// docs for the format). Requires a componentized model; ignored
+    /// otherwise, and by DFS/parallel engines.
     pub fn spill(mut self, segment_nodes: usize) -> Self {
         let dir = self.spill.and_then(|(_, d)| d);
         self.spill = Some((segment_nodes, dir));

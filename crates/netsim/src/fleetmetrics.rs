@@ -15,9 +15,8 @@
 //! outcomes, so the merged registry is byte-identical for any thread
 //! count and may participate in the fleet digest.
 
-use std::collections::BTreeMap;
-
 use serde::Serialize;
+use std::collections::BTreeMap;
 
 use crate::sim::agg::SeriesAgg;
 

@@ -7,12 +7,10 @@
 //! This is where the scenario sampler's "operator responses" with permanent
 //! reject causes (§3.2.1) come from in a real deployment.
 
-use serde::{Deserialize, Serialize};
-
 use cellstack::AttachRejectCause;
 
 /// Subscription state of one IMSI.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Subscription {
     /// Normal subscriber: attach accepted.
     Active,
@@ -25,7 +23,7 @@ pub enum Subscription {
 }
 
 /// One subscriber record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SubscriberRecord {
     /// The IMSI (identity).
     pub imsi: u64,
@@ -36,7 +34,7 @@ pub struct SubscriberRecord {
 }
 
 /// The subscriber database shared by the 3G and 4G cores.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Hss {
     records: Vec<SubscriberRecord>,
 }

@@ -1,11 +1,9 @@
 //! Per-run measurements: everything the paper's figures and tables read.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimTime;
 
 /// One throughput measurement (a speedtest run — §3.3 uses Speedtest).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ThroughputSample {
     /// Time of measurement.
     pub ts: SimTime,
@@ -20,7 +18,7 @@ pub struct ThroughputSample {
 }
 
 /// Collected measurements for one simulation run.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// All detach events observed at the device (including user-initiated).
     pub detach_count: u32,
@@ -58,7 +56,7 @@ pub struct Metrics {
 }
 
 /// One call-setup measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CallSetup {
     /// When the user dialed.
     pub dialed_at: SimTime,

@@ -7,15 +7,13 @@
 //! serving-cell distance (→ RSSI via [`crate::radio::PathLoss`]) and
 //! reports location-area boundary crossings.
 
-use serde::Serialize;
-
 use crate::radio::{PathLoss, Rssi};
 
 /// Meters per mile.
 pub const METERS_PER_MILE: f64 = 1_609.344;
 
 /// A drive route: cell sites at given mile posts, LA boundaries at others.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Route {
     /// Route name.
     pub name: &'static str,
@@ -92,7 +90,7 @@ impl Route {
 }
 
 /// A vehicle driving a route at constant speed.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Drive {
     /// The route driven.
     pub route: Route,

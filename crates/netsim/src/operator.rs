@@ -9,14 +9,12 @@
 //! to the quantiles the paper reports; the *mechanisms* (what fails, and
 //! why OP-I and OP-II diverge) come from the protocol FSMs.
 
-use serde::Serialize;
-
 use cellstack::SwitchMechanism;
 
 use crate::rng::DurationDist;
 
 /// A carrier's policy + latency profile.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OperatorProfile {
     /// Display name ("OP-I" / "OP-II").
     pub name: &'static str,

@@ -14,10 +14,8 @@
 //!   extending the outage. The paper observed this on all five models
 //!   (median gap < 0.5 s between phones).
 
-use serde::{Deserialize, Serialize};
-
 /// The study's five phone models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PhoneModel {
     /// HTC One (Android).
     HtcOne,

@@ -13,12 +13,10 @@
 //!   factor (Figure 9's hour bins), and the CS slot share when voice rides
 //!   the same channel (S5).
 
-use serde::{Deserialize, Serialize};
-
 use cellstack::Modulation;
 
 /// Received signal strength, dBm.
-#[derive(Clone, Copy, Debug, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
 pub struct Rssi(pub f64);
 
 impl Rssi {
@@ -38,7 +36,7 @@ impl Rssi {
 ///
 /// Defaults give −51 dBm at the 50 m reference and ≈−111 dBm at 10 km,
 /// matching the span of the paper's measurements.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PathLoss {
     /// Effective transmit power + antenna gains, dBm.
     pub tx_dbm: f64,
@@ -101,7 +99,7 @@ pub fn hourly_load(hour: u32) -> f64 {
 }
 
 /// The shared-channel configuration a device currently experiences.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChannelConfig {
     /// Modulation on the (downlink) shared channel.
     pub modulation: Modulation,

@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Sample a standard normal via Box-Muller.
 pub fn sample_std_normal(rng: &mut StdRng) -> f64 {
@@ -37,7 +36,7 @@ pub fn sample_exp(rng: &mut StdRng, mean: f64) -> f64 {
 /// Operator latencies (LAU/RAU durations, re-attach times, switch delays)
 /// are each described by one of these in the operator profile, which is how
 /// the Figure 8 CDFs and Table 6 quantiles get their shapes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DurationDist {
     /// Constant duration.
     Fixed(u64),

@@ -6,7 +6,7 @@
 //! (separate from the UE's signaling RNG) plans each phone's days as
 //! [`Activity`] lists (CSFB calls, 3G CS calls, coverage switches, power
 //! cycles) and materializes them as [`Ev`] events; the shared executive in
-//! [`crate::sim::exec`] then plays out all the signaling.
+//! `crate::sim::exec` then plays out all the signaling.
 //!
 //! # The million-UE kernel
 //!

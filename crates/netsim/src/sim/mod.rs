@@ -1,5 +1,5 @@
 //! The simulation drivers: the per-event executive shared by the
-//! single-UE facade and the fleet ([`exec`]), and the multi-UE carrier
+//! single-UE facade and the fleet (`exec`), and the multi-UE carrier
 //! simulation itself ([`fleet`]).
 
 pub mod agg;

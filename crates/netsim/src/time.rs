@@ -4,12 +4,10 @@
 //! collector renders it as `hh:mm:ss.ms`, the format the paper's phone-side
 //! collector records (§3.3 field 1).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in simulated time (milliseconds since run start).
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

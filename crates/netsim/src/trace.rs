@@ -13,7 +13,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use cellstack::{NasMessage, Protocol, RatSystem};
 
@@ -21,7 +21,7 @@ use crate::inject::{Leg, NodeId};
 use crate::time::SimTime;
 
 /// Trace item category (field 2).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum TraceType {
     /// A protocol state change.
     State,
@@ -38,7 +38,7 @@ pub enum TraceType {
 }
 
 /// Call lifecycle phase, as observed at the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum CallPhase {
     /// The user dialed (MO) — CSFB fallback may still be ahead.
     Dialed,
@@ -54,7 +54,7 @@ pub enum CallPhase {
 
 /// A named cross-layer hazard the simulator detected — the observable
 /// footprint of the paper's problematic instances.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum HazardKind {
     /// S1: a 3G→4G switch completed without a usable PDP context.
     S1ContextLoss,
@@ -67,7 +67,7 @@ pub enum HazardKind {
 }
 
 /// What an injected fault did to a message (or node).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum FaultKind {
     /// The message was silently dropped.
     Drop,
@@ -84,7 +84,7 @@ pub enum FaultKind {
 }
 
 /// A typed fault record: which kind, on which leg, to which message.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct FaultEvent {
     /// What happened.
     pub kind: FaultKind,
@@ -153,7 +153,7 @@ impl FaultEvent {
 
 /// The typed payload of a trace entry — the machine-readable counterpart
 /// to the free-form description (field 5).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub enum TraceEvent {
     /// No structured payload (legacy free-form entries).
     #[default]
@@ -199,7 +199,7 @@ pub enum TraceEvent {
 }
 
 /// One trace entry: the five fields of §3.3 plus the typed payload.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct TraceEntry {
     /// (1) Timestamp.
     pub ts: SimTime,
@@ -744,10 +744,12 @@ mod tests {
     fn jsonl_roundtrips() {
         let t = sample();
         let jsonl = t.to_jsonl();
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let back: TraceEntry = serde_json::from_str(lines[0]).unwrap();
-        assert_eq!(back, t.entries()[0]);
+        assert_eq!(jsonl.lines().count(), 2);
+        for (line, entry) in jsonl.lines().zip(t.entries()) {
+            let back = serde_json::from_str(line).unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), line);
+            assert_eq!(serde_json::to_string(entry).unwrap(), line);
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Signature automata and their online evaluation.
 //!
 //! A [`Signature`] is a deterministic matcher: an ordered list of
-//! [`Step`]s plus negation arcs. A [`Cursor`] steps one signature
-//! online — entries stream in via [`Cursor::feed`], the automaton
+//! [`Step`]s plus negation arcs. A `Cursor` steps one signature
+//! online — entries stream in via `Cursor::feed`, the automaton
 //! advances greedily on the first entry matching the awaited step, and
 //! the verdict hardens to [`Verdict::Confirmed`] when the last step
 //! matches, or to [`Verdict::Refuted`] the moment a forbidden pattern
-//! fires or a timed step's deadline passes. [`Cursor::finish`] closes
+//! fires or a timed step's deadline passes. `Cursor::finish` closes
 //! the trace and settles anything still pending.
 //!
 //! The cursor is 24 bytes of plain data and allocates nothing; the
@@ -14,7 +14,7 @@
 //! [`Monitor`] owns a signature and a cursor and records the evidence:
 //! the matched-event span and the refutation rendered as text.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::trace::{TraceEntry, TraceEvent};
 use crate::SimTime;
@@ -23,7 +23,7 @@ use crate::verify::pattern::Pattern;
 use crate::verify::verdict::Verdict;
 
 /// One step of a signature automaton.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Step {
     /// Human-readable label, shown in evidence spans.
     pub label: String,
@@ -38,7 +38,7 @@ pub struct Step {
 }
 
 /// A declarative signature automaton.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Signature {
     /// Signature name (e.g. `S3-hand`, `S2-compiled`).
     pub name: String,
@@ -108,7 +108,7 @@ impl Signature {
 }
 
 /// One matched event of an evidence span.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
 pub struct MatchedEvent {
     /// When the event was observed.
     pub ts: SimTime,
@@ -121,7 +121,7 @@ pub struct MatchedEvent {
 }
 
 /// The full outcome of running one monitor over one trace.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MonitorReport {
     /// Signature name.
     pub signature: String,
@@ -255,7 +255,7 @@ impl Cursor {
     }
 }
 
-/// Online evaluator for one [`Signature`]: a [`Cursor`] plus the evidence
+/// Online evaluator for one [`Signature`]: a `Cursor` plus the evidence
 /// it produced — the matched-event span and the rendered refutation.
 #[derive(Clone, Debug)]
 pub struct Monitor {
@@ -304,7 +304,7 @@ impl Monitor {
     }
 
     /// Feed one trace entry; returns the (possibly hardened) verdict.
-    /// Precedence is [`Cursor::feed`]'s.
+    /// Precedence is `Cursor::feed`'s.
     pub fn feed(&mut self, entry: &TraceEntry) -> Verdict {
         match self.cursor.feed(&self.sig, entry) {
             Fed::Pending => {}

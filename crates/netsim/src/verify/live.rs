@@ -26,8 +26,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use serde::Serialize;
-
 use crate::trace::TraceEntry;
 use crate::verify::automaton::{Cursor, Fed, MatchedEvent, Signature};
 use crate::verify::verdict::Verdict;
@@ -68,7 +66,7 @@ impl LiveConfig {
 }
 
 /// One monitor settle event, sampled into the bounded per-lane stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VerdictEvent {
     /// When the monitor settled (the triggering entry's timestamp; the
     /// fleet horizon for end-of-trace settles).

@@ -6,14 +6,12 @@
 //! so one pattern can be as loose as "any NAS message" or as tight as
 //! "the Location Updating Accept delivered downlink on 3G".
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::{CallPhase, FaultKind, HazardKind, TraceEntry, TraceEvent};
 use cellstack::{MsgClass, RatSystem};
 
 /// Coarse fault category, used to match [`FaultKind`] regardless of
 /// payload details like reorder hold times.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// Message silently dropped.
     Drop,
@@ -38,7 +36,7 @@ impl FaultClass {
 }
 
 /// A matcher over one trace entry. `None` fields are wildcards.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Pattern {
     /// Matches any entry.
     Any,

@@ -5,10 +5,10 @@
 //! fired or a timed step expired), or ended before the automaton finished
 //! (`Inconclusive`).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Monitor outcome over a finite trace.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
 pub enum Verdict {
     /// Every step of the signature matched, in order, within its deadline.
     Confirmed,

@@ -638,7 +638,8 @@ mod s4_ps_side_tests {
         assert!(w.metrics.call_setups.len() <= 1);
     }
 
-    /// The trace log serializes to JSONL and parses back.
+    /// The trace log serializes to JSONL, one entry per line, and each
+    /// line parses and re-renders byte-identically.
     #[test]
     fn world_trace_roundtrips_jsonl() {
         let mut w = World::new(WorldConfig::new(op_i(), 104));
@@ -646,9 +647,11 @@ mod s4_ps_side_tests {
         w.run_until(SimTime::from_secs(10));
         let jsonl = w.trace.to_jsonl();
         assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            let entry: netsim::trace::TraceEntry =
-                serde_json::from_str(line).expect("every line parses");
+        assert_eq!(jsonl.lines().count(), w.trace.len());
+        for (line, entry) in jsonl.lines().zip(w.trace.entries()) {
+            let back = serde_json::from_str(line).expect("every line parses");
+            assert_eq!(serde_json::to_string(&back).unwrap(), line);
+            assert_eq!(serde_json::to_string(entry).unwrap(), line);
             assert!(!entry.desc.is_empty());
         }
     }

@@ -17,10 +17,9 @@
 //! paper leaves as design discussion.
 
 use cellstack::Modulation;
-use serde::Serialize;
 
 /// How the carrier organizes CS and PS traffic onto shared channels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SharingScheme {
     /// Carrier practice (S5): each device's CS and PS traffic share one
     /// channel with one modulation, downgraded to the CS-safe scheme
@@ -44,7 +43,7 @@ impl SharingScheme {
 }
 
 /// One device's demand in the experiment.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DeviceLoad {
     /// The device has an active voice call.
     pub voice: bool,
@@ -53,7 +52,7 @@ pub struct DeviceLoad {
 }
 
 /// Aggregate outcome of one scheduling round.
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SchedulerOutcome {
     /// Aggregate PS throughput across devices, Mbps.
     pub data_mbps_total: f64,

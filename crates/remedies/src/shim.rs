@@ -16,13 +16,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use cellstack::NasMessage;
 use netsim::FaultPolicy;
 
 /// Frames exchanged by two shim endpoints.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ShimFrame {
     /// A sequenced payload.
     Data {
@@ -39,7 +37,7 @@ pub enum ShimFrame {
 }
 
 /// One side of the shim (the phone's EMM side or the MME side).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShimEndpoint {
     /// Next sequence number to assign to an outgoing message.
     next_seq: u32,

@@ -9,12 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use netsim::{op_i, op_ii, BehaviorProfile, UeSpec};
 
 /// The carrier a participant subscribes to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Carrier {
     /// OP-I (release-with-redirect).
     OpI,
@@ -23,7 +22,7 @@ pub enum Carrier {
 }
 
 /// Rough persona, shaping usage intensity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Persona {
     /// Heavy data + voice user.
     Student,
@@ -48,7 +47,7 @@ impl Persona {
 }
 
 /// One study participant.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Participant {
     /// Participant id (0-based).
     pub id: u32,

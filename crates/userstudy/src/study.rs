@@ -26,8 +26,6 @@
 //!   in-service device on 4G; covers both the OP-I disrupted-update and
 //!   the OP-II conflicting-update shapes.
 
-use serde::{Deserialize, Serialize};
-
 use monitor::{compile, Signature};
 use netsim::rng::rng_from_seed;
 use netsim::{ActivityKind, FleetConfig, FleetSim, LiveConfig, UeOutcome};
@@ -60,7 +58,7 @@ pub fn study_signatures() -> Vec<Signature> {
 }
 
 /// Counters for one instance: occurrences / denominator (the Table 5 cells).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Occurrence {
     /// Times the instance occurred.
     pub events: u32,
@@ -80,7 +78,7 @@ impl Occurrence {
 }
 
 /// The full study result.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct StudyResult {
     /// S1 per 4G→3G switch with data on (paper: 4/129).
     pub s1: Occurrence,
