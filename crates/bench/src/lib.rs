@@ -257,7 +257,7 @@ pub fn table6_stuck_durations(op: OperatorProfile, calls: u32, seed: u64) -> Vec
             // Deterministic per-episode draw.
             use rand::SeedableRng;
             let mut r = rand::rngs::StdRng::seed_from_u64(seed ^ u64::from(i));
-            op.data_session_lifetime.sample_ms(&mut r)
+            op.latencies.data_session_lifetime.sample_ms(&mut r)
         };
         w.schedule_in(25_000 + life, Ev::DataSessionEnd);
         w.run_until(SimTime::from_secs(700));

@@ -8,20 +8,20 @@
 //! choices, captured here as data. The latency distributions are calibrated
 //! to the quantiles the paper reports; the *mechanisms* (what fails, and
 //! why OP-I and OP-II diverge) come from the protocol FSMs.
+//!
+//! Each carrier's latencies are calibrated once, so they live in one
+//! `static` [`Latencies`] table per carrier that every profile of that
+//! carrier points at. A profile inlines only the policy fields callers set
+//! or edit at run time, which keeps a per-UE fleet description small.
 
 use cellstack::SwitchMechanism;
 
 use crate::rng::DurationDist;
 
-/// A carrier's policy + latency profile.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OperatorProfile {
-    /// Display name ("OP-I" / "OP-II").
-    pub name: &'static str,
-    /// Mechanism used to move devices back to 4G after a CSFB call — the
-    /// S3 policy split (§5.3.2: OP-I releases with redirect, OP-II waits
-    /// for inter-system cell reselection).
-    pub switch_mechanism: SwitchMechanism,
+/// A carrier's calibrated latency table, shared by every profile of that
+/// carrier (and by its [`OperatorProfile::remedied`] rollout).
+#[derive(Debug, PartialEq)]
+pub struct Latencies {
     /// 3G CS location-area update duration (Figure 8a).
     pub lau_duration: DurationDist,
     /// 3G PS routing-area update duration (Figure 8b).
@@ -47,15 +47,30 @@ pub struct OperatorProfile {
     pub call_connect_delay: DurationDist,
     /// One-way NAS transport latency (device↔core).
     pub nas_owd: DurationDist,
+    /// Lifetime of user data sessions (drives how long OP-II users stay
+    /// stuck in 3G — Table 6's right column).
+    pub data_session_lifetime: DurationDist,
+}
+
+/// A carrier's policy profile. The latency table is shared, not copied:
+/// `latencies` points at the carrier's one `static` table, so the profile
+/// is 32 bytes on a 64-bit target whatever the table holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct OperatorProfile {
+    /// Display name ("OP-I" / "OP-II").
+    pub name: &'static str,
+    /// Mechanism used to move devices back to 4G after a CSFB call — the
+    /// S3 policy split (§5.3.2: OP-I releases with redirect, OP-II waits
+    /// for inter-system cell reselection).
+    pub switch_mechanism: SwitchMechanism,
+    /// The carrier's calibrated latencies (Figures 4, 7, 8; Table 6).
+    pub latencies: &'static Latencies,
     /// TS 23.272 option: defer the first in-3G location update until the
     /// CSFB call completes (§6.3; both carriers do).
     pub defer_csfb_first_update: bool,
     /// Voice-first uplink scheduling on the shared channel (S5's 96.1%
     /// uplink collapse — OP-II).
     pub aggressive_ul_coupling: bool,
-    /// Lifetime of user data sessions (drives how long OP-II users stay
-    /// stuck in 3G — Table 6's right column).
-    pub data_session_lifetime: DurationDist,
     /// §8 device-side remedy bundle rolled out to this carrier's handsets
     /// (bearer reactivation after a context-less 3G→4G switch + the
     /// parallel MM threads). Fleet lanes build their stacks with
@@ -85,89 +100,171 @@ impl OperatorProfile {
     }
 }
 
+/// OP-I's latency table.
+static OP_I_LATENCIES: Latencies = Latencies {
+    // Figure 8a: all > 2 s, average ≈ 3 s.
+    lau_duration: DurationDist::Normal {
+        mean_ms: 3_000.0,
+        sd_ms: 600.0,
+        min_ms: 2_050,
+        max_ms: 5_500,
+    },
+    // Figure 8b: ~75% within 1–3.6 s.
+    rau_duration: DurationDist::Normal {
+        mean_ms: 2_300.0,
+        sd_ms: 1_150.0,
+        min_ms: 400,
+        max_ms: 8_000,
+    },
+    tau_duration: DurationDist::Normal {
+        mean_ms: 800.0,
+        sd_ms: 250.0,
+        min_ms: 200,
+        max_ms: 2_500,
+    },
+    mm_wait_net_cmd: DurationDist::Normal {
+        mean_ms: 4_300.0,
+        sd_ms: 400.0,
+        min_ms: 3_000,
+        max_ms: 6_000,
+    },
+    // Figure 4: 2.4–24.7 s, median ≈ 5 s.
+    reattach_duration: DurationDist::LogNormal {
+        mu: 8.52, // ln(5000)
+        sigma: 0.55,
+        min_ms: 2_400,
+        max_ms: 24_700,
+    },
+    csfb_fallback_delay: DurationDist::Normal {
+        mean_ms: 1_500.0,
+        sd_ms: 300.0,
+        min_ms: 800,
+        max_ms: 3_000,
+    },
+    // Table 6 OP-I: min 1.1, median 2.3, max 52.6, avg 6.2 s.
+    redirect_return_delay: DurationDist::LogNormal {
+        mu: 0.83_f64 + 7.0, // ln(2300) ≈ 7.74
+        sigma: 1.05,
+        min_ms: 1_100,
+        max_ms: 52_600,
+    },
+    reselect_return_delay: DurationDist::Normal {
+        mean_ms: 2_000.0,
+        sd_ms: 500.0,
+        min_ms: 1_000,
+        max_ms: 4_000,
+    },
+    // Figure 7: average call setup ≈ 11.4 s end-to-end.
+    call_connect_delay: DurationDist::Normal {
+        mean_ms: 10_400.0,
+        sd_ms: 700.0,
+        min_ms: 8_000,
+        max_ms: 14_000,
+    },
+    nas_owd: DurationDist::Normal {
+        mean_ms: 60.0,
+        sd_ms: 15.0,
+        min_ms: 20,
+        max_ms: 150,
+    },
+    data_session_lifetime: DurationDist::LogNormal {
+        mu: 10.1, // ln(~24.3 s)
+        sigma: 1.0,
+        min_ms: 5_000,
+        max_ms: 300_000,
+    },
+};
+
 /// OP-I: release-with-redirect carrier; faster 3G return, slower location
 /// updates, milder uplink coupling.
 pub fn op_i() -> OperatorProfile {
     OperatorProfile {
         name: "OP-I",
         switch_mechanism: SwitchMechanism::ReleaseWithRedirect,
-        // Figure 8a: all > 2 s, average ≈ 3 s.
-        lau_duration: DurationDist::Normal {
-            mean_ms: 3_000.0,
-            sd_ms: 600.0,
-            min_ms: 2_050,
-            max_ms: 5_500,
-        },
-        // Figure 8b: ~75% within 1–3.6 s.
-        rau_duration: DurationDist::Normal {
-            mean_ms: 2_300.0,
-            sd_ms: 1_150.0,
-            min_ms: 400,
-            max_ms: 8_000,
-        },
-        tau_duration: DurationDist::Normal {
-            mean_ms: 800.0,
-            sd_ms: 250.0,
-            min_ms: 200,
-            max_ms: 2_500,
-        },
-        mm_wait_net_cmd: DurationDist::Normal {
-            mean_ms: 4_300.0,
-            sd_ms: 400.0,
-            min_ms: 3_000,
-            max_ms: 6_000,
-        },
-        // Figure 4: 2.4–24.7 s, median ≈ 5 s.
-        reattach_duration: DurationDist::LogNormal {
-            mu: 8.52, // ln(5000)
-            sigma: 0.55,
-            min_ms: 2_400,
-            max_ms: 24_700,
-        },
-        csfb_fallback_delay: DurationDist::Normal {
-            mean_ms: 1_500.0,
-            sd_ms: 300.0,
-            min_ms: 800,
-            max_ms: 3_000,
-        },
-        // Table 6 OP-I: min 1.1, median 2.3, max 52.6, avg 6.2 s.
-        redirect_return_delay: DurationDist::LogNormal {
-            mu: 0.83_f64 + 7.0, // ln(2300) ≈ 7.74
-            sigma: 1.05,
-            min_ms: 1_100,
-            max_ms: 52_600,
-        },
-        reselect_return_delay: DurationDist::Normal {
-            mean_ms: 2_000.0,
-            sd_ms: 500.0,
-            min_ms: 1_000,
-            max_ms: 4_000,
-        },
-        // Figure 7: average call setup ≈ 11.4 s end-to-end.
-        call_connect_delay: DurationDist::Normal {
-            mean_ms: 10_400.0,
-            sd_ms: 700.0,
-            min_ms: 8_000,
-            max_ms: 14_000,
-        },
-        nas_owd: DurationDist::Normal {
-            mean_ms: 60.0,
-            sd_ms: 15.0,
-            min_ms: 20,
-            max_ms: 150,
-        },
+        latencies: &OP_I_LATENCIES,
         defer_csfb_first_update: true,
         aggressive_ul_coupling: false,
-        data_session_lifetime: DurationDist::LogNormal {
-            mu: 10.1, // ln(~24.3 s)
-            sigma: 1.0,
-            min_ms: 5_000,
-            max_ms: 300_000,
-        },
         device_remedies: false,
         mme_lu_recovery: false,
     }
 }
+
+/// OP-II's latency table.
+static OP_II_LATENCIES: Latencies = Latencies {
+    // Figure 8a: 72% within 1.2–2.1 s, average ≈ 1.9 s.
+    lau_duration: DurationDist::Normal {
+        mean_ms: 1_900.0,
+        sd_ms: 320.0,
+        min_ms: 900,
+        max_ms: 4_000,
+    },
+    // Figure 8b: 90% within 1.6–4.1 s.
+    rau_duration: DurationDist::Normal {
+        mean_ms: 2_850.0,
+        sd_ms: 760.0,
+        min_ms: 800,
+        max_ms: 8_000,
+    },
+    tau_duration: DurationDist::Normal {
+        mean_ms: 900.0,
+        sd_ms: 300.0,
+        min_ms: 200,
+        max_ms: 3_000,
+    },
+    mm_wait_net_cmd: DurationDist::Normal {
+        mean_ms: 3_800.0,
+        sd_ms: 500.0,
+        min_ms: 2_500,
+        max_ms: 6_000,
+    },
+    // Figure 4: OP-II skews later than OP-I.
+    reattach_duration: DurationDist::LogNormal {
+        mu: 9.0, // ln(~8100)
+        sigma: 0.5,
+        min_ms: 2_400,
+        max_ms: 24_700,
+    },
+    csfb_fallback_delay: DurationDist::Normal {
+        mean_ms: 1_800.0,
+        sd_ms: 350.0,
+        min_ms: 900,
+        max_ms: 3_500,
+    },
+    redirect_return_delay: DurationDist::Normal {
+        mean_ms: 2_500.0,
+        sd_ms: 600.0,
+        min_ms: 1_200,
+        max_ms: 5_000,
+    },
+    // Table 6 OP-II: the reselection itself takes this long *after* RRC
+    // reaches IDLE; the bulk of the stuck time is the data session.
+    reselect_return_delay: DurationDist::LogNormal {
+        mu: 9.6, // ln(~14.8 s)
+        sigma: 0.45,
+        min_ms: 8_000,
+        max_ms: 60_000,
+    },
+    call_connect_delay: DurationDist::Normal {
+        mean_ms: 10_600.0,
+        sd_ms: 800.0,
+        min_ms: 8_000,
+        max_ms: 14_500,
+    },
+    nas_owd: DurationDist::Normal {
+        mean_ms: 70.0,
+        sd_ms: 20.0,
+        min_ms: 20,
+        max_ms: 180,
+    },
+    // OP-II's user population in the study ran longer sessions, giving
+    // Table 6's 253.9 s maximum.
+    data_session_lifetime: DurationDist::LogNormal {
+        mu: 10.0,
+        sigma: 1.1,
+        min_ms: 8_000,
+        max_ms: 360_000,
+    },
+};
 
 /// OP-II: cell-reselection carrier; stuck-in-3G S3, aggressive uplink
 /// coupling, faster location updates.
@@ -175,81 +272,9 @@ pub fn op_ii() -> OperatorProfile {
     OperatorProfile {
         name: "OP-II",
         switch_mechanism: SwitchMechanism::CellReselection,
-        // Figure 8a: 72% within 1.2–2.1 s, average ≈ 1.9 s.
-        lau_duration: DurationDist::Normal {
-            mean_ms: 1_900.0,
-            sd_ms: 320.0,
-            min_ms: 900,
-            max_ms: 4_000,
-        },
-        // Figure 8b: 90% within 1.6–4.1 s.
-        rau_duration: DurationDist::Normal {
-            mean_ms: 2_850.0,
-            sd_ms: 760.0,
-            min_ms: 800,
-            max_ms: 8_000,
-        },
-        tau_duration: DurationDist::Normal {
-            mean_ms: 900.0,
-            sd_ms: 300.0,
-            min_ms: 200,
-            max_ms: 3_000,
-        },
-        mm_wait_net_cmd: DurationDist::Normal {
-            mean_ms: 3_800.0,
-            sd_ms: 500.0,
-            min_ms: 2_500,
-            max_ms: 6_000,
-        },
-        // Figure 4: OP-II skews later than OP-I.
-        reattach_duration: DurationDist::LogNormal {
-            mu: 9.0, // ln(~8100)
-            sigma: 0.5,
-            min_ms: 2_400,
-            max_ms: 24_700,
-        },
-        csfb_fallback_delay: DurationDist::Normal {
-            mean_ms: 1_800.0,
-            sd_ms: 350.0,
-            min_ms: 900,
-            max_ms: 3_500,
-        },
-        redirect_return_delay: DurationDist::Normal {
-            mean_ms: 2_500.0,
-            sd_ms: 600.0,
-            min_ms: 1_200,
-            max_ms: 5_000,
-        },
-        // Table 6 OP-II: the reselection itself takes this long *after* RRC
-        // reaches IDLE; the bulk of the stuck time is the data session.
-        reselect_return_delay: DurationDist::LogNormal {
-            mu: 9.6, // ln(~14.8 s)
-            sigma: 0.45,
-            min_ms: 8_000,
-            max_ms: 60_000,
-        },
-        call_connect_delay: DurationDist::Normal {
-            mean_ms: 10_600.0,
-            sd_ms: 800.0,
-            min_ms: 8_000,
-            max_ms: 14_500,
-        },
-        nas_owd: DurationDist::Normal {
-            mean_ms: 70.0,
-            sd_ms: 20.0,
-            min_ms: 20,
-            max_ms: 180,
-        },
+        latencies: &OP_II_LATENCIES,
         defer_csfb_first_update: true,
         aggressive_ul_coupling: true,
-        // OP-II's user population in the study ran longer sessions, giving
-        // Table 6's 253.9 s maximum.
-        data_session_lifetime: DurationDist::LogNormal {
-            mu: 10.0,
-            sigma: 1.1,
-            min_ms: 8_000,
-            max_ms: 360_000,
-        },
         device_remedies: false,
         mme_lu_recovery: false,
     }
@@ -281,7 +306,7 @@ mod tests {
 
     #[test]
     fn op1_lau_all_above_2s_mean_near_3s() {
-        let s = samples(op_i().lau_duration, 5_000, 10);
+        let s = samples(op_i().latencies.lau_duration, 5_000, 10);
         assert!(s.iter().all(|&v| v > 2_000), "Fig 8a: all > 2 s");
         let mean = s.iter().sum::<u64>() as f64 / s.len() as f64;
         assert!((2_700.0..=3_300.0).contains(&mean), "mean {mean} ≈ 3 s");
@@ -289,7 +314,7 @@ mod tests {
 
     #[test]
     fn op2_lau_majority_in_paper_band() {
-        let s = samples(op_ii().lau_duration, 5_000, 11);
+        let s = samples(op_ii().latencies.lau_duration, 5_000, 11);
         let in_band = s.iter().filter(|&&v| (1_200..=2_100).contains(&v)).count();
         let frac = in_band as f64 / s.len() as f64;
         assert!(
@@ -302,7 +327,7 @@ mod tests {
 
     #[test]
     fn op1_rau_band() {
-        let s = samples(op_i().rau_duration, 5_000, 12);
+        let s = samples(op_i().latencies.rau_duration, 5_000, 12);
         let in_band = s.iter().filter(|&&v| (1_000..=3_600).contains(&v)).count();
         let frac = in_band as f64 / s.len() as f64;
         assert!(
@@ -313,7 +338,7 @@ mod tests {
 
     #[test]
     fn op2_rau_band() {
-        let s = samples(op_ii().rau_duration, 5_000, 13);
+        let s = samples(op_ii().latencies.rau_duration, 5_000, 13);
         let in_band = s.iter().filter(|&&v| (1_600..=4_100).contains(&v)).count();
         let frac = in_band as f64 / s.len() as f64;
         assert!(
@@ -325,7 +350,7 @@ mod tests {
     #[test]
     fn reattach_spans_figure4_range() {
         for (op, seed) in [(op_i(), 14), (op_ii(), 15)] {
-            let s = samples(op.reattach_duration, 2_000, seed);
+            let s = samples(op.latencies.reattach_duration, 2_000, seed);
             assert!(s.iter().all(|&v| (2_400..=24_700).contains(&v)));
             let min = *s.iter().min().unwrap();
             let max = *s.iter().max().unwrap();
@@ -336,7 +361,7 @@ mod tests {
 
     #[test]
     fn op1_redirect_return_matches_table6_quantiles() {
-        let mut s = samples(op_i().redirect_return_delay, 20_000, 16);
+        let mut s = samples(op_i().latencies.redirect_return_delay, 20_000, 16);
         s.sort_unstable();
         let med = s[s.len() / 2] as f64 / 1_000.0;
         let mean = s.iter().sum::<u64>() as f64 / s.len() as f64 / 1_000.0;
@@ -365,13 +390,30 @@ mod tests {
     }
 
     #[test]
+    fn fleet_specs_share_each_carriers_latency_table() {
+        let spec = std::mem::size_of::<crate::UeSpec>();
+        assert!(
+            spec <= 128,
+            "a per-UE fleet description costs size_of::<UeSpec>() = {spec} B per UE; \
+             keep the latency table shared instead of copying it into every spec"
+        );
+        for (base, remedied) in [(op_i(), op_i().remedied()), (op_ii(), op_ii().remedied())] {
+            assert!(
+                std::ptr::eq(base.latencies, remedied.latencies),
+                "{}: the remedy rollout must point at the carrier's table",
+                remedied.name
+            );
+        }
+    }
+
+    #[test]
     fn remedied_profile_keeps_policies_changes_only_name_and_remedies() {
         let base = op_i();
         let r = base.remedied();
         assert_eq!(r.name, "OP-I+R");
         assert!(r.device_remedies && r.mme_lu_recovery);
         assert_eq!(r.switch_mechanism, base.switch_mechanism);
-        assert_eq!(r.lau_duration, base.lau_duration);
+        assert_eq!(r.latencies.lau_duration, base.latencies.lau_duration);
         assert_eq!(r.aggressive_ul_coupling, base.aggressive_ul_coupling);
         assert_eq!(op_ii().remedied().name, "OP-II+R");
     }

@@ -25,7 +25,9 @@ use cellstack::{
 use crate::inject::{AdvFate, Fate, Leg, NodeId};
 use crate::metrics::{CallSetup, ThroughputSample};
 use crate::node::{CarrierCore, CoreSession, Ue, UeId};
+use crate::operator::Latencies;
 use crate::radio::{achievable_kbps, ChannelConfig, Rssi};
+use crate::rng::DurationDist;
 use crate::sim::wheel::TimingWheel;
 use crate::time::SimTime;
 use crate::trace::{CallPhase, FaultEvent, FaultKind, HazardKind, TraceEvent, TraceType};
@@ -75,6 +77,11 @@ impl Exec<'_> {
     fn schedule_in(&mut self, delay_ms: u64, ev: Ev) {
         self.wheel
             .schedule(self.now + delay_ms, (self.ue.id, BlockEv::Sim(ev)));
+    }
+
+    /// Draw one latency from the carrier's table on the UE's stream.
+    fn latency(&mut self, pick: fn(&Latencies) -> DurationDist) -> u64 {
+        pick(self.cfg.op.latencies).sample_ms(&mut self.ue.rng)
     }
 
     /// The carrier session serving this UE.
@@ -270,7 +277,7 @@ impl Exec<'_> {
             self.ue.csfb = Some(csfb);
             self.ue.return_scheduled = false;
             self.ue.lau_race_spared = false;
-            let d = self.cfg.op.csfb_fallback_delay.sample_ms(&mut self.ue.rng);
+            let d = self.latency(|l| l.csfb_fallback_delay);
             self.schedule_in(d, Ev::CsfbFallbackComplete);
         } else {
             let mut evs = Vec::new();
@@ -300,7 +307,7 @@ impl Exec<'_> {
             self.ue.csfb = Some(csfb);
             self.ue.return_scheduled = false;
             self.ue.lau_race_spared = false;
-            let d = self.cfg.op.csfb_fallback_delay.sample_ms(&mut self.ue.rng);
+            let d = self.latency(|l| l.csfb_fallback_delay);
             self.schedule_in(d, Ev::CsfbFallbackComplete);
             // The MT setup is delivered once camped on 3G; mark it pending.
             self.ue.mt_call_pending = true;
@@ -380,11 +387,7 @@ impl Exec<'_> {
             .switch_allowed(SwitchMechanism::CellReselection)
         {
             self.ue.return_scheduled = true;
-            let d = self
-                .cfg
-                .op
-                .reselect_return_delay
-                .sample_ms(&mut self.ue.rng);
+            let d = self.latency(|l| l.reselect_return_delay);
             self.schedule_in(d, Ev::ReturnTo4gComplete);
         } else {
             self.schedule_in(500, Ev::CheckReselection);
@@ -611,9 +614,7 @@ impl Exec<'_> {
                         let delay = match &m {
                             NasMessage::CallProceeding => Some(150),
                             NasMessage::CallAlerting => Some(900),
-                            NasMessage::CallConnect => {
-                                Some(self.cfg.op.call_connect_delay.sample_ms(&mut self.ue.rng))
-                            }
+                            NasMessage::CallConnect => Some(self.latency(|l| l.call_connect_delay)),
                             _ => None,
                         };
                         self.schedule_downlink(RatSystem::Utran3g, Domain::Cs, m, delay);
@@ -643,7 +644,7 @@ impl Exec<'_> {
                         let delay = match &m {
                             NasMessage::UpdateAccept(UpdateKind::RoutingArea)
                             | NasMessage::UpdateReject(UpdateKind::RoutingArea, _) => {
-                                Some(self.cfg.op.rau_duration.sample_ms(&mut self.ue.rng))
+                                Some(self.latency(|l| l.rau_duration))
                             }
                             _ => None,
                         };
@@ -671,7 +672,7 @@ impl Exec<'_> {
                         }
                         NasMessage::UpdateAccept(UpdateKind::TrackingArea)
                         | NasMessage::UpdateReject(UpdateKind::TrackingArea, _) => {
-                            Some(self.cfg.op.tau_duration.sample_ms(&mut self.ue.rng))
+                            Some(self.latency(|l| l.tau_duration))
                         }
                         _ => None,
                     };
@@ -682,7 +683,7 @@ impl Exec<'_> {
                         NasMessage::UpdateReject(UpdateKind::TrackingArea, _)
                             | NasMessage::NetworkDetach(_)
                     ) {
-                        let pace = self.cfg.op.reattach_duration.sample_ms(&mut self.ue.rng);
+                        let pace = self.latency(|l| l.reattach_duration);
                         self.ue.reattach_ready_at = Some(self.now + pace);
                         if matches!(m, NasMessage::NetworkDetach(_)) {
                             self.ue.metrics.s6_events += 1;
@@ -731,7 +732,7 @@ impl Exec<'_> {
                     let delay = match &m {
                         NasMessage::UpdateAccept(UpdateKind::LocationArea)
                         | NasMessage::UpdateReject(UpdateKind::LocationArea, _) => {
-                            Some(self.cfg.op.lau_duration.sample_ms(&mut self.ue.rng))
+                            Some(self.latency(|l| l.lau_duration))
                         }
                         _ => None,
                     };
@@ -764,7 +765,7 @@ impl Exec<'_> {
         msg: NasMessage,
         processing_delay: Option<u64>,
     ) {
-        let owd = self.cfg.op.nas_owd.sample_ms(&mut self.ue.rng);
+        let owd = self.latency(|l| l.nas_owd);
         let mut delay = owd + processing_delay.unwrap_or(0);
         if self.ue.adversary.is_some() {
             let leg = leg_for(system, domain, false);
@@ -895,7 +896,7 @@ impl Exec<'_> {
                     c.first_update_completed();
                 }
                 if matches!(msg, NasMessage::UpdateAccept(_)) && !self.ue.stack.mm.parallel_remedy {
-                    let hold = self.cfg.op.mm_wait_net_cmd.sample_ms(&mut self.ue.rng);
+                    let hold = self.latency(|l| l.mm_wait_net_cmd);
                     self.schedule_in(hold, Ev::MmWaitNetCmdDone);
                 }
             }
@@ -1156,11 +1157,7 @@ impl Exec<'_> {
                         c.returning();
                     }
                     self.ue.return_scheduled = true;
-                    let d = self
-                        .cfg
-                        .op
-                        .redirect_return_delay
-                        .sample_ms(&mut self.ue.rng);
+                    let d = self.latency(|l| l.redirect_return_delay);
                     self.schedule_in(d, Ev::ReturnTo4gComplete);
                 }
                 cellstack::ReturnBehavior::WaitsForRrcIdle => {
@@ -1196,7 +1193,7 @@ impl Exec<'_> {
             }
             _ => {}
         }
-        let owd = self.cfg.op.nas_owd.sample_ms(&mut self.ue.rng);
+        let owd = self.latency(|l| l.nas_owd);
         let mut delay = owd;
         if self.ue.adversary.is_some() {
             let leg = leg_for(system, domain, true);

@@ -125,9 +125,12 @@ impl BehaviorProfile {
 }
 
 /// One fleet member: which carrier it subscribes to and how it behaves.
+/// The carrier's latency table is shared, not copied, so a spec is
+/// 104 bytes on a 64-bit target: a fleet described per UE costs that much
+/// per member in the caller's list.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UeSpec {
-    /// Carrier profile.
+    /// Carrier profile (policies inline, latencies by reference).
     pub op: OperatorProfile,
     /// Behavior rates.
     pub behavior: BehaviorProfile,
@@ -1001,7 +1004,7 @@ fn plan_day(spec: &UeSpec, day: u32, rng: &mut StdRng, out: &mut Vec<Activity>) 
         let pdp_deact = data_on && rng.gen::<f64>() < b.pdp_deactivation_prob;
         let call_ms = call_duration(rng);
         let demand_kbps = demand(rng);
-        let data_tail_ms = spec.op.data_session_lifetime.sample_ms(rng);
+        let data_tail_ms = spec.op.latencies.data_session_lifetime.sample_ms(rng);
         out.push(Activity {
             at,
             kind: ActivityKind::CsfbCall {
@@ -1249,11 +1252,24 @@ mod tests {
     fn config_dedupes_equal_specs_into_classes() {
         let mut specs = small_specs();
         specs.extend(small_specs());
+        // Two more OP-I variants that share OP-I's latency table: the §8
+        // rollout, and the switch-mechanism edit `figure7_drive` makes.
+        let mut reselecting = op_i();
+        reselecting.switch_mechanism = cellstack::SwitchMechanism::CellReselection;
+        for op in [op_i().remedied(), reselecting] {
+            specs.push(UeSpec {
+                op,
+                behavior: BehaviorProfile::typical_4g(),
+            });
+        }
         let cfg = FleetConfig::new(1, 1, 1, specs);
-        assert_eq!(cfg.classes.len(), 3, "six specs, three distinct classes");
-        assert_eq!(cfg.n_ues(), 6);
+        assert_eq!(cfg.classes.len(), 5, "eight specs, five distinct classes");
+        assert_eq!(cfg.n_ues(), 8);
         assert_eq!(cfg.class_of(0), cfg.class_of(3));
         assert_eq!(cfg.class_of(2), cfg.class_of(5));
+        assert_ne!(cfg.class_of(6), cfg.class_of(0), "remedied OP-I");
+        assert_ne!(cfg.class_of(7), cfg.class_of(0), "reselecting OP-I");
+        assert_ne!(cfg.class_of(6), cfg.class_of(7));
     }
 
     #[test]
