@@ -855,16 +855,11 @@ fn fleet_scaling(seed: u64) {
     }
 }
 
-/// The golden-diffed fleet digest: a mixed-carrier, mixed-class fleet with
-/// ring-bounded traces, rendered through the streaming report. Everything
-/// printed is a pure function of the seed — no wall-clock, no thread
-/// counts (the run uses 4 shards; any count yields the same bytes, which
-/// is the property the determinism tests pin).
-fn fleet_digest(seed: u64) {
-    section("Fleet digest — streaming report (byte-stable across hosts and thread counts)");
-    let mut specs = Vec::new();
-    for i in 0..40 {
-        specs.push(netsim::UeSpec {
+/// `n` phones alternating OP-I and OP-II, every fifth one 3G-only: the mix
+/// the fleet digest and the live-monitoring runs share.
+fn mixed_roster(n: u32) -> netsim::Roster {
+    (0..n)
+        .map(|i| netsim::UeSpec {
             op: if i % 2 == 0 {
                 netsim::op_i()
             } else {
@@ -875,9 +870,18 @@ fn fleet_digest(seed: u64) {
             } else {
                 netsim::BehaviorProfile::typical_4g()
             },
-        });
-    }
-    let mut cfg = netsim::FleetConfig::new(seed, 3, 4, specs);
+        })
+        .collect()
+}
+
+/// The golden-diffed fleet digest: a mixed-carrier, mixed-class fleet with
+/// ring-bounded traces, rendered through the streaming report. Everything
+/// printed is a pure function of the seed — no wall-clock, no thread
+/// counts (the run uses 4 shards; any count yields the same bytes, which
+/// is the property the determinism tests pin).
+fn fleet_digest(seed: u64) {
+    section("Fleet digest — streaming report (byte-stable across hosts and thread counts)");
+    let mut cfg = netsim::FleetConfig::new(seed, 3, 4, mixed_roster(40));
     cfg.trace_capacity = Some(64);
     let report = netsim::FleetSim::new(cfg).run();
     print!("{}", report.digest());
@@ -906,22 +910,7 @@ fn live_run(
     campaign: Option<netsim::Campaign>,
     nas_retx: bool,
 ) -> LiveAgg {
-    let mut specs = Vec::with_capacity(20_000);
-    for i in 0..20_000 {
-        specs.push(netsim::UeSpec {
-            op: if i % 2 == 0 {
-                netsim::op_i()
-            } else {
-                netsim::op_ii()
-            },
-            behavior: if i % 5 == 0 {
-                netsim::BehaviorProfile::typical_3g()
-            } else {
-                netsim::BehaviorProfile::typical_4g()
-            },
-        });
-    }
-    let mut cfg = netsim::FleetConfig::new(seed, 1, 4, specs);
+    let mut cfg = netsim::FleetConfig::new(seed, 1, 4, mixed_roster(20_000));
     cfg.trace_capacity = trace;
     cfg.campaign = campaign;
     cfg.nas_retx = nas_retx;

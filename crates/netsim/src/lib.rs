@@ -79,7 +79,7 @@ pub use radio::{achievable_kbps, ChannelConfig, PathLoss, Rssi};
 pub use rng::DurationDist;
 pub use sim::{
     Activity, ActivityKind, BehaviorProfile, FleetAgg, FleetConfig, FleetReport, FleetSim,
-    KernelStats, Members, PlanSummary, SeriesAgg, TimingWheel, UeOutcome, UeSpec, WheelHandle,
+    KernelStats, PlanSummary, Roster, SeriesAgg, TimingWheel, UeOutcome, UeSpec, WheelHandle,
 };
 pub use time::SimTime;
 pub use trace::{

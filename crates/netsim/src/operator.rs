@@ -55,7 +55,7 @@ pub struct Latencies {
 /// A carrier's policy profile. The latency table is shared, not copied:
 /// `latencies` points at the carrier's one `static` table, so the profile
 /// is 32 bytes on a 64-bit target whatever the table holds.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug)]
 pub struct OperatorProfile {
     /// Display name ("OP-I" / "OP-II").
     pub name: &'static str,
@@ -79,6 +79,30 @@ pub struct OperatorProfile {
     /// §8 MME-side cross-system remedy: absorb 3G location-update failures
     /// and recover in-core instead of detaching the device (S6).
     pub mme_lu_recovery: bool,
+}
+
+/// Field-wise equality, except that the latency tables are compared by
+/// address first: profiles of one carrier point at the same `static`
+/// table, so the common case never walks its eleven distributions.
+impl PartialEq for OperatorProfile {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            name,
+            switch_mechanism,
+            latencies,
+            defer_csfb_first_update,
+            aggressive_ul_coupling,
+            device_remedies,
+            mme_lu_recovery,
+        } = *self;
+        name == other.name
+            && switch_mechanism == other.switch_mechanism
+            && (std::ptr::eq(latencies, other.latencies) || *latencies == *other.latencies)
+            && defer_csfb_first_update == other.defer_csfb_first_update
+            && aggressive_ul_coupling == other.aggressive_ul_coupling
+            && device_remedies == other.device_remedies
+            && mme_lu_recovery == other.mme_lu_recovery
+    }
 }
 
 impl OperatorProfile {
@@ -404,6 +428,15 @@ mod tests {
                 remedied.name
             );
         }
+        // Equality checks the shared table's address first, but still
+        // compares values: a copy of the table equals the original.
+        let copied = Box::leak(Box::new(Latencies { ..OP_I_LATENCIES }));
+        let mut op = op_i();
+        op.latencies = copied;
+        assert!(!std::ptr::eq(op.latencies, op_i().latencies));
+        assert_eq!(op, op_i(), "a copied table compares by value");
+        assert_ne!(op_i(), op_ii());
+        assert_ne!(op_i(), op_i().remedied());
     }
 
     #[test]

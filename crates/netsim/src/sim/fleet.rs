@@ -126,8 +126,9 @@ impl BehaviorProfile {
 
 /// One fleet member: which carrier it subscribes to and how it behaves.
 /// The carrier's latency table is shared, not copied, so a spec is
-/// 104 bytes on a 64-bit target: a fleet described per UE costs that much
-/// per member in the caller's list.
+/// 104 bytes on a 64-bit target. A fleet described per UE collects its
+/// specs into a [`Roster`], never into a `Vec<UeSpec>`, so it holds each
+/// distinct spec once rather than once per member.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct UeSpec {
     /// Carrier profile (policies inline, latencies by reference).
@@ -136,15 +137,80 @@ pub struct UeSpec {
     pub behavior: BehaviorProfile,
 }
 
-/// Which behavior class each fleet member belongs to. A million UEs share
-/// a handful of classes, so membership is a compact index table (or just a
-/// count), never a million copied specs.
+/// Who is in a fleet: its distinct behavior classes, in first-seen order,
+/// and the class of each member. A million UEs share a handful of
+/// classes, so a roster collected from one spec per UE
+/// (`(0..n).map(..).collect::<Roster>()`) costs a 2-byte class index per
+/// member and never holds the specs themselves; [`Roster::uniform`] costs
+/// nothing per member. Callers collect specs into a roster, never into a
+/// `Vec<UeSpec>`.
 #[derive(Clone, Debug)]
-pub enum Members {
-    /// `n` members, all of class 0.
-    Uniform(usize),
-    /// One class index per member (into [`FleetConfig::classes`]).
-    PerUe(Vec<u16>),
+pub struct Roster {
+    classes: Vec<UeSpec>,
+    /// One index into `classes` per member; empty for a uniform roster,
+    /// whose members are all class 0.
+    members: Vec<u16>,
+    len: usize,
+}
+
+impl Roster {
+    /// `n` members, all of them `spec`.
+    pub fn uniform(n: usize, spec: UeSpec) -> Self {
+        Self {
+            classes: vec![spec],
+            members: Vec::new(),
+            len: n,
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the roster has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The distinct behavior classes, in first-seen order.
+    pub fn classes(&self) -> &[UeSpec] {
+        &self.classes
+    }
+
+    /// The behavior class of member `i`: an index into [`Self::classes`].
+    pub fn class_of(&self, i: usize) -> u16 {
+        if self.members.is_empty() {
+            0
+        } else {
+            self.members[i]
+        }
+    }
+}
+
+/// Collecting deduplicates as it goes: a spec equal to an earlier one
+/// joins that spec's class, so class indices follow first-seen order.
+impl FromIterator<UeSpec> for Roster {
+    fn from_iter<I: IntoIterator<Item = UeSpec>>(specs: I) -> Self {
+        let specs = specs.into_iter();
+        let mut classes: Vec<UeSpec> = Vec::new();
+        let mut members = Vec::with_capacity(specs.size_hint().0);
+        for spec in specs {
+            let class = match classes.iter().position(|c| *c == spec) {
+                Some(i) => i,
+                None => {
+                    classes.push(spec);
+                    classes.len() - 1
+                }
+            };
+            members.push(u16::try_from(class).expect("more than 65536 behavior classes"));
+        }
+        Self {
+            classes,
+            len: members.len(),
+            members,
+        }
+    }
 }
 
 /// Fleet run configuration.
@@ -172,30 +238,16 @@ pub struct FleetConfig {
     /// every lane — the knob the campaign experiments flip to show
     /// retries masking injected signaling loss.
     pub nas_retx: bool,
-    /// The distinct behavior classes in this fleet.
-    pub classes: Vec<UeSpec>,
-    /// Which class each member belongs to.
-    pub members: Members,
+    /// The fleet's behavior classes and each member's class.
+    pub roster: Roster,
 }
 
 impl FleetConfig {
-    /// Build a fleet from one spec per UE, deduplicating equal specs into
-    /// shared classes. `trace_capacity` defaults to unbounded and
-    /// `keep_plan` to off; set the fields directly to change them.
-    pub fn new(seed: u64, days: u32, threads: usize, specs: Vec<UeSpec>) -> Self {
-        let mut classes: Vec<UeSpec> = Vec::new();
-        let mut members = Vec::with_capacity(specs.len());
-        for s in specs {
-            let idx = match classes.iter().position(|c| *c == s) {
-                Some(i) => i,
-                None => {
-                    classes.push(s);
-                    classes.len() - 1
-                }
-            };
-            assert!(idx <= u16::MAX as usize, "more than 65536 behavior classes");
-            members.push(idx as u16);
-        }
+    /// Build a fleet from its roster: collect one spec per UE into a
+    /// [`Roster`] (never into a `Vec<UeSpec>`), which deduplicates equal
+    /// specs into shared classes. `trace_capacity` defaults to unbounded
+    /// and `keep_plan` to off; set the fields directly to change them.
+    pub fn new(seed: u64, days: u32, threads: usize, roster: Roster) -> Self {
         Self {
             seed,
             days,
@@ -205,41 +257,18 @@ impl FleetConfig {
             live: None,
             campaign: None,
             nas_retx: false,
-            classes,
-            members: Members::PerUe(members),
+            roster,
         }
     }
 
     /// A uniform fleet of `n` copies of `spec`.
     pub fn uniform(seed: u64, days: u32, threads: usize, n: usize, spec: UeSpec) -> Self {
-        Self {
-            seed,
-            days,
-            threads,
-            trace_capacity: None,
-            keep_plan: false,
-            live: None,
-            campaign: None,
-            nas_retx: false,
-            classes: vec![spec],
-            members: Members::Uniform(n),
-        }
+        Self::new(seed, days, threads, Roster::uniform(n, spec))
     }
 
     /// Number of fleet members.
     pub fn n_ues(&self) -> usize {
-        match &self.members {
-            Members::Uniform(n) => *n,
-            Members::PerUe(v) => v.len(),
-        }
-    }
-
-    /// The behavior class of member `i`.
-    pub fn class_of(&self, i: usize) -> u16 {
-        match &self.members {
-            Members::Uniform(_) => 0,
-            Members::PerUe(v) => v[i],
-        }
+        self.roster.len()
     }
 }
 
@@ -511,7 +540,8 @@ impl FleetSim {
         // instead of firing on every fast return.
         let cfgs: Vec<WorldConfig> = self
             .cfg
-            .classes
+            .roster
+            .classes()
             .iter()
             .map(|spec| {
                 let mut cfg = WorldConfig::new(spec.op, self.cfg.seed);
@@ -549,7 +579,7 @@ impl FleetSim {
         let mut agg = FleetAgg::default();
         let mut registry = MetricsRegistry::new();
         let mut kernel = KernelStats {
-            classes: self.cfg.classes.len(),
+            classes: cfgs.len(),
             ..KernelStats::default()
         };
         let mut total_events = 0u64;
@@ -608,7 +638,8 @@ struct ShardOut<A> {
 }
 
 /// Run shard `shard` of `threads` (round-robin membership: UE `i` belongs
-/// to shard `i % threads`), block by block.
+/// to shard `i % threads`), block by block. The shard's UEs are its rows
+/// `shard + row × threads`, walked by arithmetic, never listed.
 fn run_shard<A, M, F>(
     fleet: &FleetConfig,
     cfgs: &[WorldConfig],
@@ -622,8 +653,10 @@ where
     M: Fn() -> A,
     F: Fn(&mut A, UeOutcome),
 {
-    let n = fleet.n_ues() as u32;
-    let ids: Vec<u32> = (shard..n).step_by(threads).collect();
+    let rows = fleet
+        .n_ues()
+        .saturating_sub(shard as usize)
+        .div_ceil(threads);
 
     let mut acc = make();
     let mut agg = FleetAgg::default();
@@ -644,7 +677,7 @@ where
     let mut bytes_peak = 0usize;
     let mut quarantined = 0u64;
 
-    for block_ids in ids.chunks(BLOCK) {
+    for first_row in (0..rows).step_by(BLOCK) {
         blocks += 1;
         wheel.reset();
         arena.clear();
@@ -653,9 +686,10 @@ where
         // shared core — but its session table stays O(block).
         let mut carrier = CarrierCore::new();
 
-        for &i in block_ids {
-            let class = fleet.class_of(i as usize);
-            let spec = &fleet.classes[class as usize];
+        for row in first_row..rows.min(first_row + BLOCK) {
+            let i = (shard as usize + row * threads) as u32;
+            let class = fleet.roster.class_of(i as usize);
+            let spec = &fleet.roster.classes()[class as usize];
             let imsi = 310_410_000_001 + u64::from(i);
             carrier.hss.provision(crate::hss::SubscriberRecord {
                 imsi,
@@ -711,9 +745,8 @@ where
             refill_and_arm(fleet, &mut arena, slot, UeId(i), &mut wheel, &mut scratch);
         }
 
-        // Round-robin ids are `shard + row * threads`; a block is a run of
-        // consecutive rows, so the block-local slot is pure arithmetic.
-        let first_row = (block_ids[0] - shard) as usize / threads;
+        // A block is a run of consecutive rows, so the block-local slot is
+        // pure arithmetic too.
         let slot_of = |id: UeId| (id.0 - shard) as usize / threads - first_row;
 
         while let Some((at, (id, bev))) = wheel.pop() {
@@ -944,7 +977,7 @@ fn refill_and_arm(
     while arena.pending[slot].is_empty() && arena.next_day[slot] < fleet.days {
         let day = arena.next_day[slot];
         arena.next_day[slot] += 1;
-        let spec = &fleet.classes[arena.class_of[slot] as usize];
+        let spec = &fleet.roster.classes()[arena.class_of[slot] as usize];
         scratch.clear();
         plan_day(spec, day, &mut arena.sched[slot], scratch);
         for a in scratch.iter() {
@@ -1159,8 +1192,8 @@ mod tests {
     use super::*;
     use crate::operator::{op_i, op_ii};
 
-    fn small_specs() -> Vec<UeSpec> {
-        vec![
+    fn small_specs() -> [UeSpec; 3] {
+        [
             UeSpec {
                 op: op_i(),
                 behavior: BehaviorProfile::typical_4g(),
@@ -1176,8 +1209,12 @@ mod tests {
         ]
     }
 
+    fn small_roster() -> Roster {
+        small_specs().into_iter().collect()
+    }
+
     fn small_fleet(threads: usize) -> (FleetReport, Vec<UeOutcome>) {
-        FleetSim::new(FleetConfig::new(2014, 2, threads, small_specs())).run_collect()
+        FleetSim::new(FleetConfig::new(2014, 2, threads, small_roster())).run_collect()
     }
 
     #[test]
@@ -1250,31 +1287,40 @@ mod tests {
 
     #[test]
     fn config_dedupes_equal_specs_into_classes() {
-        let mut specs = small_specs();
-        specs.extend(small_specs());
         // Two more OP-I variants that share OP-I's latency table: the §8
         // rollout, and the switch-mechanism edit `figure7_drive` makes.
         let mut reselecting = op_i();
         reselecting.switch_mechanism = cellstack::SwitchMechanism::CellReselection;
-        for op in [op_i().remedied(), reselecting] {
-            specs.push(UeSpec {
-                op,
-                behavior: BehaviorProfile::typical_4g(),
-            });
-        }
-        let cfg = FleetConfig::new(1, 1, 1, specs);
-        assert_eq!(cfg.classes.len(), 5, "eight specs, five distinct classes");
-        assert_eq!(cfg.n_ues(), 8);
-        assert_eq!(cfg.class_of(0), cfg.class_of(3));
-        assert_eq!(cfg.class_of(2), cfg.class_of(5));
-        assert_ne!(cfg.class_of(6), cfg.class_of(0), "remedied OP-I");
-        assert_ne!(cfg.class_of(7), cfg.class_of(0), "reselecting OP-I");
-        assert_ne!(cfg.class_of(6), cfg.class_of(7));
+        let variants = [op_i().remedied(), reselecting].map(|op| UeSpec {
+            op,
+            behavior: BehaviorProfile::typical_4g(),
+        });
+        let roster: Roster = small_specs()
+            .into_iter()
+            .chain(small_specs())
+            .chain(variants)
+            .collect();
+        assert_eq!(
+            roster.classes().len(),
+            5,
+            "eight specs, five distinct classes"
+        );
+        assert_eq!(roster.len(), 8);
+        assert_eq!(roster.class_of(0), roster.class_of(3));
+        assert_eq!(roster.class_of(2), roster.class_of(5));
+        assert_ne!(roster.class_of(6), roster.class_of(0), "remedied OP-I");
+        assert_ne!(roster.class_of(7), roster.class_of(0), "reselecting OP-I");
+        assert_ne!(roster.class_of(6), roster.class_of(7));
+
+        let uniform = Roster::uniform(BLOCK + 7, small_specs()[1]);
+        assert_eq!(uniform.classes(), &small_specs()[1..2]);
+        assert_eq!(uniform.len(), BLOCK + 7);
+        assert!((0..uniform.len()).all(|i| uniform.class_of(i) == 0));
     }
 
     #[test]
     fn keep_plan_retains_activities_and_matches_the_summary() {
-        let mut cfg = FleetConfig::new(2014, 2, 1, small_specs());
+        let mut cfg = FleetConfig::new(2014, 2, 1, small_roster());
         cfg.keep_plan = true;
         let (_, ues) = FleetSim::new(cfg).run_collect();
         for u in &ues {
@@ -1292,7 +1338,7 @@ mod tests {
     #[test]
     fn count_only_traces_keep_the_digest_thread_stable() {
         let run = |threads| {
-            let mut cfg = FleetConfig::new(777, 2, threads, small_specs());
+            let mut cfg = FleetConfig::new(777, 2, threads, small_roster());
             cfg.trace_capacity = Some(0);
             FleetSim::new(cfg).run_collect()
         };
@@ -1317,7 +1363,7 @@ mod tests {
         let horizon = SimTime::from_millis(2 * 86_400_000 + 900_000);
 
         let run = |capacity: Option<usize>| {
-            let mut cfg = FleetConfig::new(2014, 2, 2, small_specs());
+            let mut cfg = FleetConfig::new(2014, 2, 2, small_roster());
             cfg.trace_capacity = capacity;
             cfg.live = Some(LiveConfig::new(vec![sig.clone()]));
             FleetSim::new(cfg).run_collect()
@@ -1359,7 +1405,7 @@ mod tests {
 
         let mut live = LiveConfig::new(vec![]);
         live.poison_ues = vec![1];
-        let mut cfg = FleetConfig::new(2014, 1, 2, small_specs());
+        let mut cfg = FleetConfig::new(2014, 1, 2, small_roster());
         cfg.live = Some(live);
         let (r, ues) = FleetSim::new(cfg).run_collect();
         assert_eq!(r.kernel.monitor_quarantined, 1);
@@ -1388,7 +1434,7 @@ mod tests {
             86_400_000,
             vec![PolicyRule::any(FaultPolicy::dropping(0.3))],
         ));
-        let mut cfg = FleetConfig::new(2014, 1, 1, small_specs());
+        let mut cfg = FleetConfig::new(2014, 1, 1, small_roster());
         cfg.campaign = Some(campaign.clone());
         let (_, ues) = FleetSim::new(cfg).run_collect();
         assert!(
@@ -1398,7 +1444,7 @@ mod tests {
 
         // Same campaign, different thread counts: byte-identical.
         let run = |threads| {
-            let mut cfg = FleetConfig::new(2014, 1, threads, small_specs());
+            let mut cfg = FleetConfig::new(2014, 1, threads, small_roster());
             cfg.campaign = Some(campaign.clone());
             FleetSim::new(cfg).run().digest()
         };

@@ -11,6 +11,6 @@ pub mod wheel;
 pub use agg::{FleetAgg, PlanSummary, SeriesAgg};
 pub use fleet::{
     Activity, ActivityKind, BehaviorProfile, FleetConfig, FleetReport, FleetSim, KernelStats,
-    Members, UeOutcome, UeSpec,
+    Roster, UeOutcome, UeSpec,
 };
 pub use wheel::{TimingWheel, WheelHandle};

@@ -2,28 +2,25 @@
 //! function of (seed, specs) — the UE-shard thread count is an
 //! implementation detail that may never leak into the report.
 
-use netsim::{op_i, op_ii, BehaviorProfile, FleetConfig, FleetReport, FleetSim, UeOutcome, UeSpec};
+use netsim::{
+    op_i, op_ii, BehaviorProfile, FleetConfig, FleetReport, FleetSim, Roster, UeOutcome, UeSpec,
+};
 
 /// A carrier-mixed 20-UE fleet shaped like the §7 study population.
-fn study_shaped_specs() -> Vec<UeSpec> {
-    let mut specs = Vec::new();
-    for i in 0..12 {
-        specs.push(UeSpec {
-            op: if i < 5 { op_i() } else { op_ii() },
-            behavior: BehaviorProfile::typical_4g(),
-        });
-    }
-    for i in 0..8 {
-        specs.push(UeSpec {
-            op: if i % 2 == 0 { op_i() } else { op_ii() },
-            behavior: BehaviorProfile::typical_3g(),
-        });
-    }
-    specs
+fn study_shaped_roster() -> Roster {
+    let on_4g = (0..12).map(|i| UeSpec {
+        op: if i < 5 { op_i() } else { op_ii() },
+        behavior: BehaviorProfile::typical_4g(),
+    });
+    let on_3g = (0..8).map(|i| UeSpec {
+        op: if i % 2 == 0 { op_i() } else { op_ii() },
+        behavior: BehaviorProfile::typical_3g(),
+    });
+    on_4g.chain(on_3g).collect()
 }
 
 fn run(threads: usize, trace_capacity: Option<usize>) -> (FleetReport, Vec<UeOutcome>) {
-    let mut cfg = FleetConfig::new(90125, 5, threads, study_shaped_specs());
+    let mut cfg = FleetConfig::new(90125, 5, threads, study_shaped_roster());
     cfg.trace_capacity = trace_capacity;
     FleetSim::new(cfg).run_collect()
 }
@@ -73,18 +70,17 @@ fn oversubscribed_threads_are_harmless() {
 #[test]
 fn twenty_thousand_ues_are_thread_invariant() {
     let run = |threads: usize| {
-        let mut specs = Vec::with_capacity(20_000);
-        for i in 0..20_000 {
-            specs.push(UeSpec {
+        let roster = (0..20_000)
+            .map(|i| UeSpec {
                 op: if i % 2 == 0 { op_i() } else { op_ii() },
                 behavior: if i % 5 == 0 {
                     BehaviorProfile::typical_3g()
                 } else {
                     BehaviorProfile::typical_4g()
                 },
-            });
-        }
-        let mut cfg = FleetConfig::new(20_260_807, 1, threads, specs);
+            })
+            .collect();
+        let mut cfg = FleetConfig::new(20_260_807, 1, threads, roster);
         cfg.trace_capacity = Some(16);
         let r = FleetSim::new(cfg).run();
         assert_eq!(r.agg.ues, 20_000);

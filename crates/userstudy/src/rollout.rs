@@ -76,18 +76,17 @@ fn run_arm(
     op: OperatorProfile,
     sigs: &[Signature],
 ) -> RolloutArm {
-    let mut specs = Vec::with_capacity(ues as usize);
-    for i in 0..ues {
-        specs.push(UeSpec {
+    let roster = (0..ues)
+        .map(|i| UeSpec {
             op,
             behavior: if i % 5 == 0 {
                 BehaviorProfile::typical_3g()
             } else {
                 BehaviorProfile::typical_4g()
             },
-        });
-    }
-    let mut cfg = FleetConfig::new(seed, days, threads, specs);
+        })
+        .collect();
+    let mut cfg = FleetConfig::new(seed, days, threads, roster);
     // Tallies are retention-independent; keep lanes count-only.
     cfg.trace_capacity = Some(0);
     cfg.live = Some(LiveConfig::new(sigs.to_vec()));

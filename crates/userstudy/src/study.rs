@@ -132,11 +132,11 @@ const S3_STUCK_THRESHOLD_MS: u64 = 10_000;
 pub fn run_study(seed: u64) -> StudyResult {
     let mut rng = rng_from_seed(seed);
     let population = build_population(&mut rng);
-    let specs = population.iter().map(spec_for).collect();
+    let roster = population.iter().map(spec_for).collect();
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    let mut cfg = FleetConfig::new(seed, STUDY_DAYS, threads, specs);
+    let mut cfg = FleetConfig::new(seed, STUDY_DAYS, threads, roster);
     cfg.keep_plan = true; // denominators and S3/S5 attribution read the plan
     let mut live = LiveConfig::new(study_signatures());
     live.keep_spans = true; // S3 episodes are read off the confirmed spans

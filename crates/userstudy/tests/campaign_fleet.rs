@@ -16,31 +16,29 @@
 
 use netsim::{
     op_i, op_ii, BehaviorProfile, Campaign, FaultPhase, FaultPolicy, FleetConfig, FleetSim, Leg,
-    LiveConfig, PolicyRule, UeSpec,
+    LiveConfig, PolicyRule, Roster, UeSpec,
 };
 
 const N_UES: usize = 20_000;
 const SEED: u64 = 20_260_807;
 
-fn mixed_specs() -> Vec<UeSpec> {
-    let mut specs = Vec::with_capacity(N_UES);
-    for i in 0..N_UES {
-        specs.push(UeSpec {
+fn mixed_roster() -> Roster {
+    (0..N_UES)
+        .map(|i| UeSpec {
             op: if i % 2 == 0 { op_i() } else { op_ii() },
             behavior: if i % 5 == 0 {
                 BehaviorProfile::typical_3g()
             } else {
                 BehaviorProfile::typical_4g()
             },
-        });
-    }
-    specs
+        })
+        .collect()
 }
 
 /// One 20k-UE day with in-line S5 monitoring; returns fleet-wide
 /// (confirmed, refuted) S5 tallies.
 fn s5_tallies(campaign: Option<Campaign>) -> (u64, u64) {
-    let mut cfg = FleetConfig::new(SEED, 1, 4, mixed_specs());
+    let mut cfg = FleetConfig::new(SEED, 1, 4, mixed_roster());
     cfg.trace_capacity = Some(0); // count-only traces: verdicts don't need retention
     cfg.campaign = campaign;
     cfg.live = Some(LiveConfig::new(vec![userstudy::s5_overlap()]));

@@ -12,19 +12,18 @@ const SEED: u64 = 20_260_807;
 
 /// Fleet-wide per-signature (confirmed, refuted) sums for one 20k-UE day.
 fn tallies(trace_capacity: Option<usize>, threads: usize) -> Vec<(u64, u64)> {
-    let mut specs = Vec::with_capacity(N_UES);
-    for i in 0..N_UES {
-        specs.push(UeSpec {
+    let roster = (0..N_UES)
+        .map(|i| UeSpec {
             op: if i % 2 == 0 { op_i() } else { op_ii() },
             behavior: if i % 5 == 0 {
                 BehaviorProfile::typical_3g()
             } else {
                 BehaviorProfile::typical_4g()
             },
-        });
-    }
+        })
+        .collect();
     let n = study_signatures().len();
-    let mut cfg = FleetConfig::new(SEED, 1, threads, specs);
+    let mut cfg = FleetConfig::new(SEED, 1, threads, roster);
     cfg.trace_capacity = trace_capacity;
     cfg.live = Some(LiveConfig::new(study_signatures()));
     let (_, shards) = FleetSim::new(cfg).run_fold(

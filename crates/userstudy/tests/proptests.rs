@@ -87,8 +87,8 @@ proptest! {
     fn study_is_internally_consistent(seed in 0u64..1024) {
         let mut rng = netsim::rng::rng_from_seed(seed);
         let population = build_population(&mut rng);
-        let specs = population.iter().map(spec_for).collect();
-        let mut cfg = netsim::FleetConfig::new(seed, 3, 2, specs); // short horizon keeps the property cheap
+        let roster = population.iter().map(spec_for).collect();
+        let mut cfg = netsim::FleetConfig::new(seed, 3, 2, roster); // short horizon keeps the property cheap
         cfg.keep_plan = true;
         let mut live = netsim::LiveConfig::new(userstudy::study_signatures());
         live.keep_spans = true;
@@ -126,12 +126,12 @@ proptest! {
         let sigs = study_signatures();
         let mut rng = netsim::rng::rng_from_seed(seed);
         let population = userstudy::build_population(&mut rng);
-        let specs: Vec<netsim::UeSpec> = population.iter().map(userstudy::spec_for).collect();
+        let roster: netsim::Roster = population.iter().map(userstudy::spec_for).collect();
         let days = 2u32;
         let end = SimTime::from_millis(u64::from(days) * 86_400_000 + 900_000);
 
         // Oracle: full traces, scanned after the fact.
-        let cfg = netsim::FleetConfig::new(seed, days, 2, specs.clone());
+        let cfg = netsim::FleetConfig::new(seed, days, 2, roster.clone());
         let (_, ues) = netsim::FleetSim::new(cfg).run_collect();
         let expected: Vec<Vec<u32>> = ues
             .iter()
@@ -144,7 +144,7 @@ proptest! {
 
         for capacity in [None, Some(64), Some(0)] {
             for threads in [1usize, 2, 8] {
-                let mut cfg = netsim::FleetConfig::new(seed, days, threads, specs.clone());
+                let mut cfg = netsim::FleetConfig::new(seed, days, threads, roster.clone());
                 cfg.trace_capacity = capacity;
                 cfg.live = Some(netsim::LiveConfig::new(sigs.clone()));
                 let (_, ues) = netsim::FleetSim::new(cfg).run_collect();

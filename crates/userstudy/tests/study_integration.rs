@@ -72,8 +72,8 @@ fn table6_carrier_asymmetry() {
 fn live_fleet(threads: usize) -> (Vec<Participant>, FleetConfig) {
     let mut rng = rng_from_seed(2014);
     let population = build_population(&mut rng);
-    let specs = population.iter().map(spec_for).collect();
-    let mut cfg = FleetConfig::new(2014, STUDY_DAYS, threads, specs);
+    let roster = population.iter().map(spec_for).collect();
+    let mut cfg = FleetConfig::new(2014, STUDY_DAYS, threads, roster);
     cfg.keep_plan = true;
     let mut live = LiveConfig::new(study_signatures());
     live.keep_spans = true;
